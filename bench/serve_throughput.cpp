@@ -281,7 +281,7 @@ int main() {
     for (size_t I = 0; I < PreemptN; ++I) {
       std::string Id, Err;
       bool Existing = false;
-      if (!Sched.submit("t" + std::to_string(I % TenantFan), S.Name, "pcguard",
+      if (!Sched.submit('t' + std::to_string(I % TenantFan), S.Name, "pcguard",
                         C.Seed + I, Budget, false, Id, Existing, Err))
         return 0;
     }

@@ -38,19 +38,13 @@ struct BucketLut {
 
 const BucketLut Buckets;
 
-} // namespace
+/// Words per line: the touched-line walks reuse the word-at-a-time
+/// kernels of the full-map functions one line at a time.
+constexpr size_t LineWords = LineBytes / 8;
 
-CoverageMap::CoverageMap(uint32_t SizeLog2) {
-  assert(SizeLog2 >= 4 && SizeLog2 <= 24 && "unreasonable map size");
-  Map.assign(1u << SizeLog2, 0);
-}
-
-void CoverageMap::classifyCounts() {
-  // Word-at-a-time with zero skipping: traces are sparse and this runs on
-  // every execution (AFL applies the same optimization).
-  auto *Words = reinterpret_cast<uint64_t *>(Map.data());
-  size_t NumWords = Map.size() / 8;
-  for (size_t W = 0; W < NumWords; ++W) {
+/// Bucket the nonzero words of Words[0, N) in place.
+void classifyWords(uint64_t *Words, size_t N) {
+  for (size_t W = 0; W < N; ++W) {
     if (!Words[W])
       continue;
     auto *Bytes = reinterpret_cast<uint8_t *>(&Words[W]);
@@ -59,28 +53,11 @@ void CoverageMap::classifyCounts() {
   }
 }
 
-uint32_t CoverageMap::countBytes() const {
-  uint32_t N = 0;
-  for (uint8_t B : Map)
-    N += (B != 0);
-  return N;
-}
-
-uint64_t CoverageMap::checksum() const {
-  return fnv1a(Map.data(), Map.size());
-}
-
-uint8_t CoverageMap::bucketFor(uint8_t Count) { return Buckets.Lut[Count]; }
-
-VirginMap::VirginMap(uint32_t Size) { Virgin.assign(Size, 0xff); }
-
-Novelty VirginMap::hasNewBits(const CoverageMap &Trace) {
-  assert(Trace.size() == Virgin.size() && "map size mismatch");
-  Novelty Result = Novelty::None;
-  const auto *TW = reinterpret_cast<const uint64_t *>(Trace.data());
-  auto *VW = reinterpret_cast<uint64_t *>(Virgin.data());
-  size_t NumWords = Virgin.size() / 8;
-  for (size_t W = 0; W < NumWords; ++W) {
+/// AFL's has_new_bits over N words of a classified trace and the matching
+/// virgin words, folded into Result.
+void newBitsWords(const uint64_t *TW, uint64_t *VW, size_t N,
+                  Novelty &Result) {
+  for (size_t W = 0; W < N; ++W) {
     uint64_t Cur = TW[W];
     if (!Cur || !(Cur & VW[W]))
       continue;
@@ -95,6 +72,113 @@ Novelty VirginMap::hasNewBits(const CoverageMap &Trace) {
       }
     }
   }
+}
+
+} // namespace
+
+CoverageMap::CoverageMap(uint32_t SizeLog2) {
+  assert(SizeLog2 >= MinSizeLog2 && SizeLog2 <= MaxSizeLog2 &&
+         "unreasonable map size");
+  Map.assign(size_t(1) << SizeLog2, 0);
+  Flags.assign((numLines() + 7) & ~size_t(7), 0);
+}
+
+void CoverageMap::reset() {
+  std::memset(Map.data(), 0, Map.size());
+  std::memset(Flags.data(), 0, Flags.size());
+  Touched.clear();
+}
+
+void CoverageMap::classifyCounts() {
+  // Word-at-a-time with zero skipping: traces are sparse and this runs on
+  // every execution (AFL applies the same optimization).
+  classifyWords(reinterpret_cast<uint64_t *>(Map.data()), Map.size() / 8);
+}
+
+uint32_t CoverageMap::countBytes() const {
+  uint32_t N = 0;
+  for (uint8_t B : Map)
+    N += (B != 0);
+  return N;
+}
+
+uint64_t CoverageMap::checksum() const {
+  return fnv1a(Map.data(), Map.size());
+}
+
+void CoverageMap::collectTouched() {
+  assert(Touched.empty() && "collectTouched runs once per execution");
+  auto *Words = reinterpret_cast<uint64_t *>(Flags.data());
+  for (size_t W = 0; W < Flags.size() / 8; ++W) {
+    if (!Words[W])
+      continue;
+    for (uint32_t L = static_cast<uint32_t>(W * 8); L < W * 8 + 8; ++L)
+      if (Flags[L])
+        Touched.push_back(L);
+    Words[W] = 0;
+  }
+}
+
+void CoverageMap::resetTouched() {
+  for (uint32_t L : Touched)
+    std::memset(Map.data() + (size_t(L) << LineShift), 0, LineBytes);
+  Touched.clear();
+}
+
+void CoverageMap::classifyTouched() {
+  auto *Words = reinterpret_cast<uint64_t *>(Map.data());
+  for (uint32_t L : Touched)
+    classifyWords(Words + size_t(L) * LineWords, LineWords);
+}
+
+uint64_t CoverageMap::checksumTouched() const {
+  // The untouched lines between two touched ones are zero bytes; FNV-1a
+  // folds a run of them into one multiplication.
+  uint64_t H = FnvOffset;
+  uint32_t Next = 0; // first line not yet hashed
+  for (uint32_t L : Touched) {
+    H = fnv1aZeros(H, uint64_t(L - Next) << LineShift);
+    H = fnv1a(Map.data() + (size_t(L) << LineShift), LineBytes, H);
+    Next = L + 1;
+  }
+  return fnv1aZeros(H, uint64_t(numLines() - Next) << LineShift);
+}
+
+void CoverageMap::appendNonzeroTouched(std::vector<uint32_t> &Out) const {
+  const auto *Words = reinterpret_cast<const uint64_t *>(Map.data());
+  for (uint32_t L : Touched) {
+    const size_t First = size_t(L) * LineWords;
+    for (size_t W = First; W < First + LineWords; ++W) {
+      if (!Words[W])
+        continue;
+      for (size_t I = W * 8; I < W * 8 + 8; ++I)
+        if (Map[I])
+          Out.push_back(static_cast<uint32_t>(I));
+    }
+  }
+}
+
+uint8_t CoverageMap::bucketFor(uint8_t Count) { return Buckets.Lut[Count]; }
+
+VirginMap::VirginMap(uint32_t Size) { Virgin.assign(Size, 0xff); }
+
+Novelty VirginMap::hasNewBits(const CoverageMap &Trace) {
+  assert(Trace.size() == Virgin.size() && "map size mismatch");
+  Novelty Result = Novelty::None;
+  newBitsWords(reinterpret_cast<const uint64_t *>(Trace.data()),
+               reinterpret_cast<uint64_t *>(Virgin.data()),
+               Virgin.size() / 8, Result);
+  return Result;
+}
+
+Novelty VirginMap::hasNewBitsTouched(const CoverageMap &Trace) {
+  assert(Trace.size() == Virgin.size() && "map size mismatch");
+  Novelty Result = Novelty::None;
+  const auto *TW = reinterpret_cast<const uint64_t *>(Trace.data());
+  auto *VW = reinterpret_cast<uint64_t *>(Virgin.data());
+  for (uint32_t L : Trace.touchedLines())
+    newBitsWords(TW + size_t(L) * LineWords, VW + size_t(L) * LineWords,
+                 LineWords, Result);
   return Result;
 }
 

@@ -19,6 +19,16 @@
 // the map (edges vs (path_id ^ function) values), so the same CoverageMap
 // serves every fuzzer configuration in this reproduction.
 //
+// Each pipeline stage exists twice. The full-map functions scan all 2^N
+// bytes and are the reference. The *Touched functions walk only the
+// 64-byte lines the execution wrote: the VM engines set
+// lineFlags()[Index >> LineShift] on every map bump (see
+// vm::FeedbackContext::LineFlags), collectTouched() turns the flags into
+// an ascending line list, and reset, classify, novelty, the nonzero-index
+// collection and the checksum then cost O(touched lines) instead of
+// O(map size) — with bit-identical results, since every other byte is
+// zero and contributes nothing to any stage.
+//
 //===----------------------------------------------------------------------===//
 
 #ifndef PATHFUZZ_COV_COVERAGEMAP_H
@@ -38,18 +48,33 @@ enum class Novelty : uint8_t {
   NewEdges = 2, ///< a map entry was hit for the first time
 };
 
-/// The per-execution trace map plus helpers. Size is a power of two.
+/// Map writes are tracked per line of 1 << LineShift bytes (one cache
+/// line, eight 64-bit words).
+constexpr uint32_t LineShift = 6;
+constexpr uint32_t LineBytes = 1u << LineShift;
+
+/// The per-execution trace map plus helpers. Size is a power of two of at
+/// least one line.
 class CoverageMap {
 public:
+  static constexpr uint32_t MinSizeLog2 = LineShift;
+  static constexpr uint32_t MaxSizeLog2 = 24;
+
+  /// SizeLog2 must lie in [MinSizeLog2, MaxSizeLog2]; callers that take it
+  /// from outside the program validate it first.
   explicit CoverageMap(uint32_t SizeLog2 = 16);
 
   uint8_t *data() { return Map.data(); }
   const uint8_t *data() const { return Map.data(); }
   uint32_t size() const { return static_cast<uint32_t>(Map.size()); }
   uint32_t mask() const { return size() - 1; }
+  uint32_t numLines() const { return size() >> LineShift; }
 
-  /// Zero the map (before each execution).
-  void reset() { std::memset(Map.data(), 0, Map.size()); }
+  // -- The reference full-map pipeline. Valid on any map contents,
+  //    however they were written.
+
+  /// Zero the whole map and drop the touched-line bookkeeping.
+  void reset();
 
   /// Bucket raw hit counts in place (AFL's classify_counts).
   void classifyCounts();
@@ -58,14 +83,42 @@ public:
   uint32_t countBytes() const;
 
   /// 64-bit checksum of the classified map (AFL's execution checksum used
-  /// for calibration stability checks).
+  /// for calibration stability checks): FNV-1a over all size() bytes.
   uint64_t checksum() const;
+
+  // -- The touched-line pipeline, for one execution at a time: reset,
+  //    run (the engine flags every line it writes), collectTouched(),
+  //    then any of the walks below. Requires that every nonzero byte lies
+  //    in a line flagged since the last reset. Each walk returns exactly
+  //    what its full-map counterpart returns.
+
+  /// One flag byte per line, nonzero = written. Handed to the VM through
+  /// vm::FeedbackContext::LineFlags.
+  uint8_t *lineFlags() { return Flags.data(); }
+
+  /// Move the flagged lines into the ascending touched-line list and
+  /// clear their flags. Once per execution, after its last map write.
+  void collectTouched();
+  const std::vector<uint32_t> &touchedLines() const { return Touched; }
+
+  /// reset() for the touched lines only.
+  void resetTouched();
+  /// classifyCounts() for the touched lines only.
+  void classifyTouched();
+  /// checksum() computed from the touched lines only.
+  uint64_t checksumTouched() const;
+  /// Append the indices of the nonzero entries, ascending, to Out.
+  void appendNonzeroTouched(std::vector<uint32_t> &Out) const;
 
   /// Bucket a single raw count (exposed for tests).
   static uint8_t bucketFor(uint8_t Count);
 
 private:
   std::vector<uint8_t> Map;
+  /// One byte per line, padded to whole 64-bit words so collectTouched()
+  /// scans it a word at a time; the padding is never flagged.
+  std::vector<uint8_t> Flags;
+  std::vector<uint32_t> Touched; ///< ascending, collected since reset
 };
 
 /// The accumulated "virgin" view of everything seen so far. Starts all-FF.
@@ -76,6 +129,10 @@ public:
   /// Compare a *classified* trace with the virgin map; updates the virgin
   /// map with anything new. Mirrors AFL++'s has_new_bits.
   Novelty hasNewBits(const CoverageMap &Trace);
+
+  /// hasNewBits() walking only Trace.touchedLines(); same verdict, same
+  /// virgin-map update.
+  Novelty hasNewBitsTouched(const CoverageMap &Trace);
 
   /// Non-updating variant.
   Novelty wouldHaveNewBits(const CoverageMap &Trace) const;

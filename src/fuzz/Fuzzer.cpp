@@ -85,10 +85,13 @@ Fuzzer::Fuzzer(const mir::Module &M, const instr::InstrumentReport &Report,
 }
 
 vm::ExecResult Fuzzer::executeRaw(const Input &Data, bool LogCmps) {
-  Trace.reset();
+  // Map work scales with what the previous execution touched: only its
+  // lines are zeroed, and the engine flags the lines this one writes.
+  Trace.resetTouched();
   vm::FeedbackContext Fb;
   Fb.Map = Trace.data();
   Fb.MapMask = Trace.mask();
+  Fb.LineFlags = Trace.lineFlags();
   Fb.FuncKeys = Report.FuncKeys.data();
   Fb.CallPathHash = Opts.PathAflAssist;
   // Events the VM records (injected faults) carry the index this
@@ -98,7 +101,9 @@ vm::ExecResult Fuzzer::executeRaw(const Input &Data, bool LogCmps) {
 
   vm::ExecOptions EO = Opts.Exec;
   EO.LogCmps = LogCmps;
-  return Machine.run(Data.data(), Data.size(), EO, &Fb);
+  vm::ExecResult Res = Machine.run(Data.data(), Data.size(), EO, &Fb);
+  Trace.collectTouched();
+  return Res;
 }
 
 vm::ExecResult Fuzzer::executeCheap(const Input &Data, bool LogCmps,
@@ -244,29 +249,21 @@ bool Fuzzer::processResult(const Input &Data, const vm::ExecResult &Res,
   if (SkipNovelty && !ForceAdd)
     return false;
 
-  Trace.classifyCounts();
-  cov::Novelty Nov = Virgin.hasNewBits(Trace);
+  // Every map stage walks only the lines this execution touched; each
+  // returns exactly what its full-map reference would (cov/CoverageMap.h).
+  Trace.classifyTouched();
+  cov::Novelty Nov = Virgin.hasNewBitsTouched(Trace);
   if (Nov == cov::Novelty::None && !ForceAdd)
     return false;
 
   QueueEntry E;
   E.Data = Data;
-  E.Checksum = Trace.checksum();
+  E.Checksum = Trace.checksumTouched();
   E.Steps = Res.Steps;
   E.Depth = Depth;
   E.FoundAtExec = Stats.Execs;
   E.EdgeSet = Res.ShadowEdges;
-  // Word-skipping scan: traces are sparse and entries are added often
-  // under the path feedback.
-  const auto *Words = reinterpret_cast<const uint64_t *>(Trace.data());
-  const uint8_t *T = Trace.data();
-  for (uint32_t W = 0; W < Trace.size() / 8; ++W) {
-    if (!Words[W])
-      continue;
-    for (uint32_t I = W * 8; I < W * 8 + 8; ++I)
-      if (T[I])
-        E.MapSet.push_back(I);
-  }
+  Trace.appendNonzeroTouched(E.MapSet);
   E.Density = static_cast<uint32_t>(E.MapSet.size());
 
   Stats.LastFindExec = Stats.Execs;

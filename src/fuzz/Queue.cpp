@@ -21,6 +21,8 @@ void Corpus::add(QueueEntry Entry) {
 
   for (uint32_t MapIdx : E.MapSet) {
     int32_t Cur = TopRated[MapIdx];
+    if (Cur < 0)
+      Rated.push_back(MapIdx);
     if (Cur < 0 || E.score() < Entries[static_cast<size_t>(Cur)].score()) {
       TopRated[MapIdx] = Index;
       NeedCull = true;
@@ -47,17 +49,34 @@ void Corpus::recomputeFavored() {
   for (QueueEntry &E : Entries)
     E.Favored = false;
 
-  // AFL's cull_queue: walk the map; the first top-rated entry owning a
-  // still-uncovered index becomes favored and claims its whole trace.
-  std::vector<uint8_t> Uncovered(TopRated.size(), 1);
-  for (size_t MapIdx = 0; MapIdx < TopRated.size(); ++MapIdx) {
-    if (!Uncovered[MapIdx] || TopRated[MapIdx] < 0)
+  // Indices rated since the last pass join the ascending list.
+  if (RatedSorted < Rated.size()) {
+    std::sort(Rated.begin() + RatedSorted, Rated.end());
+    std::inplace_merge(Rated.begin(), Rated.begin() + RatedSorted,
+                       Rated.end());
+    RatedSorted = Rated.size();
+  }
+  if (Claimed.size() != (TopRated.size() + 63) / 64)
+    Claimed.assign((TopRated.size() + 63) / 64, 0);
+
+  // AFL's cull_queue: walk the map in index order; the first top-rated
+  // entry owning a still-unclaimed index becomes favored and claims its
+  // whole trace. Indices without a top-rated entry cannot claim anything,
+  // so the walk visits only the rated ones.
+  for (uint32_t MapIdx : Rated) {
+    if (Claimed[MapIdx / 64] & (uint64_t(1) << (MapIdx % 64)))
       continue;
     QueueEntry &E = Entries[static_cast<size_t>(TopRated[MapIdx])];
     E.Favored = true;
     for (uint32_t Idx : E.MapSet)
-      Uncovered[Idx] = 0;
+      Claimed[Idx / 64] |= uint64_t(1) << (Idx % 64);
   }
+  // Hand the bitmap to the next pass all-clear again, touching only the
+  // words this pass set.
+  for (const QueueEntry &E : Entries)
+    if (E.Favored)
+      for (uint32_t Idx : E.MapSet)
+        Claimed[Idx / 64] = 0;
 
   PendingFavoredCount = 0;
   for (const QueueEntry &E : Entries)
@@ -69,6 +88,11 @@ void Corpus::restoreState(std::vector<QueueEntry> NewEntries,
                           uint32_t NewPendingFavored, uint64_t NewCullPasses) {
   Entries = std::move(NewEntries);
   TopRated = std::move(NewTopRated);
+  Rated.clear();
+  for (uint32_t MapIdx = 0; MapIdx < TopRated.size(); ++MapIdx)
+    if (TopRated[MapIdx] >= 0)
+      Rated.push_back(MapIdx);
+  RatedSorted = Rated.size();
   NeedCull = NewNeedCull;
   PendingFavoredCount = NewPendingFavored;
   CullPasses = NewCullPasses;

@@ -112,6 +112,15 @@ public:
 private:
   std::vector<QueueEntry> Entries;
   std::vector<int32_t> TopRated; ///< per map index: best entry or -1
+  /// Map indices with a top-rated entry: ascending up to RatedSorted, then
+  /// the indices rated since the last favored pass. The pass walks only
+  /// these instead of the whole TopRated table.
+  std::vector<uint32_t> Rated;
+  size_t RatedSorted = 0;
+  /// The favored pass's scratch, one bit per map index (set = claimed),
+  /// kept all-clear between passes so each pass neither allocates nor
+  /// clears the whole map.
+  std::vector<uint64_t> Claimed;
   bool NeedCull = false;
   uint32_t PendingFavoredCount = 0;
   uint64_t CullPasses = 0;

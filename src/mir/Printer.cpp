@@ -93,7 +93,13 @@ const char *binOpName(BinOp Op) {
   return "<bad-binop>";
 }
 
-static std::string reg(Reg R) { return "r" + std::to_string(R); }
+static std::string reg(Reg R) {
+  // Append rather than `"r" + std::to_string(R)`: the prepending insert
+  // trips GCC 12's -Wrestrict false positive at -O3.
+  std::string S = "r";
+  S += std::to_string(R);
+  return S;
+}
 
 std::string printInstr(const Instr &I, const Module *M) {
   std::string S;
@@ -139,7 +145,7 @@ std::string printInstr(const Instr &I, const Module *M) {
     if (M && I.Callee < M->Funcs.size())
       S += "@" + M->Funcs[I.Callee].Name;
     else
-      S += "#" + std::to_string(I.Callee);
+      S += '#' + std::to_string(I.Callee);
     S += "(";
     for (unsigned K = 0; K < I.NumArgs; ++K) {
       if (K)

@@ -7,6 +7,7 @@
 #include "strategy/Campaign.h"
 
 #include "analysis/Reachability.h"
+#include "cov/CoverageMap.h"
 #include "fuzz/Snapshot.h"
 #include "strategy/BuildCache.h"
 #include "strategy/Store.h"
@@ -784,6 +785,11 @@ bool readOptionsFingerprint(ByteReader &Rd, CampaignOptions &Opts) {
   Opts.ExecBudget = Rd.u64();
   Opts.Seed = Rd.u64();
   Opts.MapSizeLog2 = Rd.u32();
+  // The map is 1 << MapSizeLog2 bytes: an out-of-range value from disk
+  // would be undefined behavior in the shift, not just a bad option.
+  if (Opts.MapSizeLog2 < cov::CoverageMap::MinSizeLog2 ||
+      Opts.MapSizeLog2 > cov::CoverageMap::MaxSizeLog2)
+    return false;
   Opts.CullRounds = Rd.u32();
   Opts.MaxInputLen = Rd.u64();
   Opts.StepLimit = Rd.u64();

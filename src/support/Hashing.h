@@ -21,15 +21,28 @@
 
 namespace pathfuzz {
 
+constexpr uint64_t FnvOffset = 0xcbf29ce484222325ULL;
+constexpr uint64_t FnvPrime = 0x100000001b3ULL;
+
 /// FNV-1a over a byte buffer.
 inline uint64_t fnv1a(const void *Data, size_t Size,
-                      uint64_t Seed = 0xcbf29ce484222325ULL) {
+                      uint64_t Seed = FnvOffset) {
   const auto *Bytes = static_cast<const unsigned char *>(Data);
   uint64_t H = Seed;
   for (size_t I = 0; I < Size; ++I) {
     H ^= Bytes[I];
-    H *= 0x100000001b3ULL;
+    H *= FnvPrime;
   }
+  return H;
+}
+
+/// fnv1a(Zeros, Count, H) for Count zero bytes without reading them: a
+/// zero byte XORs nothing in, so the run is one multiplication by
+/// FnvPrime^Count (mod 2^64), here by square-and-multiply.
+inline uint64_t fnv1aZeros(uint64_t H, uint64_t Count) {
+  for (uint64_t P = FnvPrime; Count; Count >>= 1, P *= P)
+    if (Count & 1)
+      H *= P;
   return H;
 }
 

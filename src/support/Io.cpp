@@ -24,10 +24,13 @@ constexpr const char *TmpSuffix = ".tmp";
 /// directory entry must itself reach disk or a power cut can resurrect
 /// the old file. Best-effort by design (see the header).
 void fsyncParentDir(const std::string &Path) {
-  size_t Slash = Path.find_last_of('/');
-  std::string Dir = Slash == std::string::npos ? "." : Path.substr(0, Slash);
-  if (Dir.empty())
-    Dir = "/";
+  // The parent of "f" is ".", of "/f" is "/", of "d/f" is "d". Built in
+  // one construction: assigning a literal over the substr result trips
+  // GCC 12's -Wrestrict false positive at -O3.
+  const size_t Slash = Path.find_last_of('/');
+  const std::string Dir = Slash == std::string::npos ? std::string(".")
+                          : Slash == 0               ? std::string("/")
+                                                     : Path.substr(0, Slash);
   int Fd = ::open(Dir.c_str(), O_RDONLY | O_DIRECTORY);
   if (Fd >= 0) {
     ::fsync(Fd);

@@ -24,10 +24,11 @@ namespace {
 /// BadPointer, the wild-pointer analogue.
 constexpr int64_t PtrBase = int64_t(1) << 56;
 
-/// AFL++-style "NeverZero" saturating counter bump.
-inline void bump(uint8_t *Map, uint32_t Index) {
+/// AFL++-style "NeverZero" saturating counter bump, marking the line.
+inline void bump(uint8_t *Map, uint8_t *LineFlags, uint32_t Index) {
   uint8_t V = static_cast<uint8_t>(Map[Index] + 1);
   Map[Index] = V ? V : 1;
+  LineFlags[Index >> cov::LineShift] = 1;
 }
 
 } // namespace
@@ -109,6 +110,17 @@ void Vm::attachJit(const jit::JitProgram *J) {
 
 ExecResult Vm::run(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
                    FeedbackContext *Fb) {
+  // Give a caller that does not read line flags a scratch sink, so every
+  // engine can mark lines unconditionally.
+  FeedbackContext WithFlags;
+  if (Fb && Fb->Map && !Fb->LineFlags) {
+    const size_t Lines = (size_t(Fb->MapMask) >> cov::LineShift) + 1;
+    if (ScratchLineFlags.size() < Lines)
+      ScratchLineFlags.resize(Lines);
+    WithFlags = *Fb;
+    WithFlags.LineFlags = ScratchLineFlags.data();
+    Fb = &WithFlags;
+  }
   if (Jp)
     return runJit(Input, Len, Opts, Fb);
   if (Img)
@@ -124,6 +136,7 @@ ExecResult Vm::run(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
   Cells.clear();
 
   uint8_t *Map = Fb ? Fb->Map : nullptr;
+  uint8_t *LineFlags = Fb ? Fb->LineFlags : nullptr;
   uint32_t MapMask = Fb ? Fb->MapMask : 0;
   uint64_t PrevLoc = 0;
   uint64_t CallHash = 0x50a7af1dULL;
@@ -425,7 +438,8 @@ ExecResult Vm::run(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
           // running hash indexed into the map.
           if ((mix64(I.Callee * 0x9e3779b97f4a7c15ULL) & 3) == 0) {
             CallHash = mix64(CallHash ^ (I.Callee + 0x517cc1b727220a95ULL));
-            bump(Map, static_cast<uint32_t>(CallHash) & MapMask);
+            bump(Map, LineFlags,
+                 static_cast<uint32_t>(CallHash) & MapMask);
           }
         }
         int64_t ArgVals[mir::MaxCallArgs];
@@ -440,11 +454,11 @@ ExecResult Vm::run(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
       }
       case mir::Opcode::EdgeProbe:
         if (Map)
-          bump(Map, static_cast<uint32_t>(I.Imm) & MapMask);
+          bump(Map, LineFlags, static_cast<uint32_t>(I.Imm) & MapMask);
         break;
       case mir::Opcode::BlockProbe:
         if (Map) {
-          bump(Map,
+          bump(Map, LineFlags,
                (static_cast<uint32_t>(I.Imm) ^ static_cast<uint32_t>(PrevLoc)) &
                    MapMask);
           PrevLoc = static_cast<uint64_t>(I.Imm) >> 1;
@@ -458,7 +472,7 @@ ExecResult Vm::run(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
         int64_t PathId = Regs[Fn.PathReg] + I.Imm;
         if (Map) {
           uint64_t Key = Fb->FuncKeys ? Fb->FuncKeys[Fr.Func] : 0;
-          bump(Map,
+          bump(Map, LineFlags,
                static_cast<uint32_t>(static_cast<uint64_t>(PathId) ^ Key) &
                    MapMask);
         }

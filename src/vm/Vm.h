@@ -29,6 +29,7 @@
 #ifndef PATHFUZZ_VM_VM_H
 #define PATHFUZZ_VM_VM_H
 
+#include "cov/CoverageMap.h"
 #include "instrument/ShadowEdges.h"
 #include "mir/Mir.h"
 #include "support/Hashing.h"
@@ -114,6 +115,13 @@ struct Fault {
 struct FeedbackContext {
   uint8_t *Map = nullptr;
   uint32_t MapMask = 0; ///< map size minus one (size is a power of two)
+  /// Touched-line marks: every engine sets LineFlags[Index >> LineShift]
+  /// = 1 on each map write, so the flagged lines are exactly the lines
+  /// holding a nonzero byte. The fuzzer passes cov::CoverageMap's flags
+  /// and walks only those lines afterwards. Null when the caller does not
+  /// read them: the Vm then supplies its own scratch array, so no engine
+  /// tests for null on the write path.
+  uint8_t *LineFlags = nullptr;
   /// Per-function keys for path-map indexing: (path_id ^ key) & MapMask,
   /// the paper's (path_id XOR function) % map_size scheme.
   const uint64_t *FuncKeys = nullptr;
@@ -263,6 +271,8 @@ private:
   const mir::Module &M;
   const instr::ShadowEdgeIndex *Shadow;
   int MainIndex = -1;
+  /// Write-only line-flag sink for callers that pass a map but no flags.
+  std::vector<uint8_t> ScratchLineFlags;
 
   // Reused per-execution state.
   std::vector<int64_t> RegStack;

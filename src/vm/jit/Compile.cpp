@@ -283,10 +283,15 @@ private:
   }
 
   /// NeverZero map bump of Map[rax] — add 1, then fold the carry back in,
-  /// which is exactly `V = Map[i]+1; Map[i] = V ? V : 1`.
+  /// which is exactly `V = Map[i]+1; Map[i] = V ? V : 1` — followed by the
+  /// touched-line mark LineFlags[rax >> LineShift] = 1. Clobbers rax
+  /// (zero-extended by the caller's 32-bit AND) and rcx.
   void emitBump() {
     E.aluMI8(Emitter::ADD, mem(RBP, RAX, 1, 0), 1);
     E.aluMI8(Emitter::ADC, mem(RBP, RAX, 1, 0), 0);
+    E.shrI(RAX, cov::LineShift);
+    E.movRM(RCX, PF_ST(LineFlags));
+    E.movMI8(mem(RCX, RAX, 1, 0), 1);
   }
 
   /// Shadow-edge dedup record for a compile-time edge id (the caller has

@@ -64,6 +64,9 @@ struct JitState {
   uint64_t CellsN = 0;
   uint8_t *Map = nullptr;
   uint64_t MapMask = 0;
+  /// Touched-line marks (FeedbackContext::LineFlags); non-null whenever
+  /// Map is, so the bump template stores without a test.
+  uint8_t *LineFlags = nullptr;
   uint64_t PrevLoc = 0;
   uint64_t CallHash = 0;
   uint64_t Sig = 0;
@@ -118,7 +121,8 @@ int64_t pfJitAlloc(JitState *S, int64_t Size);
 /// outside [-1, 1], capped at MaxCmpLog *before* the append).
 void pfJitLogCmp(JitState *S, int64_t L, int64_t Rv);
 
-/// PathAFL call hash: mixes Callee into S->CallHash and bumps the map.
+/// PathAFL call hash: mixes Callee into S->CallHash, bumps the map and
+/// marks the bumped line.
 /// Only called when FlagDoCallHash is set (which implies Map != null).
 void pfJitCallHash(JitState *S, uint32_t Callee);
 

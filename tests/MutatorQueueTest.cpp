@@ -6,6 +6,7 @@
 
 #include "fuzz/Mutator.h"
 #include "fuzz/Queue.h"
+#include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
@@ -117,6 +118,60 @@ TEST(Corpus, FavoredMarksMinimalCoveringSet) {
   EXPECT_EQ(Q.pendingFavored(), 3u);
   Q.markFuzzed(0);
   EXPECT_EQ(Q.pendingFavored(), 2u);
+}
+
+/// AFL's cull_queue over the dense top-rated table: the reference the
+/// corpus's rated-index walk must reproduce.
+std::vector<bool> referenceFavored(const Corpus &Q) {
+  const std::vector<int32_t> &Top = Q.topRatedTable();
+  std::vector<uint8_t> Uncovered(Top.size(), 1);
+  std::vector<bool> Fav(Q.size(), false);
+  for (size_t MapIdx = 0; MapIdx < Top.size(); ++MapIdx) {
+    if (!Uncovered[MapIdx] || Top[MapIdx] < 0)
+      continue;
+    Fav[static_cast<size_t>(Top[MapIdx])] = true;
+    for (uint32_t Idx : Q[static_cast<size_t>(Top[MapIdx])].MapSet)
+      Uncovered[Idx] = 0;
+  }
+  return Fav;
+}
+
+std::vector<bool> favoredMarks(const Corpus &Q) {
+  std::vector<bool> Fav;
+  for (const QueueEntry &E : Q.entries())
+    Fav.push_back(E.Favored);
+  return Fav;
+}
+
+TEST(Corpus, SparseCullMatchesDenseReference) {
+  // Random corpora grown in bursts with a cull after each, then carried
+  // through restoreState (which rebuilds the rated-index list) and grown
+  // further: every pass must mark exactly the dense walk's favored set.
+  Rng R(0xc011);
+  for (int Trial = 0; Trial < 40; ++Trial) {
+    const uint32_t MapSize = 1u << (6 + R.below(9));
+    Corpus Q(MapSize);
+    for (int Burst = 0; Burst < 6; ++Burst) {
+      for (int K = 0, N = 1 + static_cast<int>(R.below(12)); K < N; ++K) {
+        std::set<uint32_t> Set;
+        for (int I = 0, M = static_cast<int>(R.below(20)); I < M; ++I)
+          Set.insert(static_cast<uint32_t>(R.below(MapSize)));
+        Q.add(entry(1 + R.below(50), {Set.begin(), Set.end()}));
+      }
+      Q.cullIfNeeded();
+      ASSERT_EQ(favoredMarks(Q), referenceFavored(Q))
+          << "trial " << Trial << " burst " << Burst;
+
+      if (Burst == 2) {
+        Corpus Restored(MapSize);
+        Restored.restoreState(Q.entries(), Q.topRatedTable(), true,
+                              Q.pendingFavored(), Q.cullPasses());
+        Q = std::move(Restored);
+        Q.cullIfNeeded();
+        ASSERT_EQ(favoredMarks(Q), referenceFavored(Q)) << "after restore";
+      }
+    }
+  }
 }
 
 TEST(Corpus, EdgePreservingSubsetCoversAllEdges) {

@@ -354,6 +354,20 @@ TEST(Prescient, OptionsFingerprintRoundTrip) {
   ByteReader RdBad(Bad);
   CampaignOptions B2;
   EXPECT_FALSE(readOptionsFingerprint(RdBad, B2));
+
+  // The map size sizes a 1 << MapSizeLog2 byte map: only [6, 24] (one
+  // 64-byte line up to 16 MiB) may come back from disk.
+  for (uint32_t Log2 : {0u, 5u, 6u, 24u, 25u, 31u, 32u, 0xffffffffu}) {
+    CampaignOptions OM = O;
+    OM.MapSizeLog2 = Log2;
+    ByteWriter WM;
+    writeOptionsFingerprint(WM, OM);
+    std::vector<uint8_t> MBytes = WM.take();
+    ByteReader RdM(MBytes);
+    CampaignOptions BM;
+    EXPECT_EQ(readOptionsFingerprint(RdM, BM), Log2 >= 6 && Log2 <= 24)
+        << "MapSizeLog2 " << Log2;
+  }
 }
 
 TEST(Prescient, BuildCacheSharesOneSummaryPerSubject) {

@@ -7,9 +7,11 @@
 #ifndef PATHFUZZ_TESTS_TESTUTIL_H
 #define PATHFUZZ_TESTS_TESTUTIL_H
 
+#include "cov/CoverageMap.h"
 #include "mir/Builder.h"
 #include "mir/Mir.h"
 #include "support/Rng.h"
+#include "vm/Vm.h"
 
 #include <string>
 #include <vector>
@@ -97,6 +99,44 @@ inline mir::Module moduleWith(mir::Function F) {
   Main.setRet(Ret);
   M.Funcs.push_back(Main.take());
   return M;
+}
+
+/// The line-flag oracle for one engine: run every input on Machine with
+/// a fresh 2^MapSizeLog2 map and its line flags attached, and check that
+/// the flagged lines are exactly the lines holding a nonzero byte.
+/// Returns a description of the first execution that disagrees, or an
+/// empty string when all of them agree.
+inline std::string
+lineFlagMismatch(vm::Vm &Machine,
+                 const std::vector<std::vector<uint8_t>> &Inputs,
+                 uint32_t MapSizeLog2, const uint64_t *FuncKeys,
+                 bool CallPathHash) {
+  cov::CoverageMap Map(MapSizeLog2);
+  for (size_t K = 0; K < Inputs.size(); ++K) {
+    Map.reset();
+    vm::FeedbackContext Fb;
+    Fb.Map = Map.data();
+    Fb.MapMask = Map.mask();
+    Fb.LineFlags = Map.lineFlags();
+    Fb.FuncKeys = FuncKeys;
+    Fb.CallPathHash = CallPathHash;
+    vm::ExecOptions EO;
+    EO.StepLimit = 200000;
+    (void)Machine.run(Inputs[K].data(), Inputs[K].size(), EO, &Fb);
+    Map.collectTouched();
+    std::vector<uint32_t> Nonzero;
+    for (uint32_t L = 0; L < Map.numLines(); ++L)
+      for (uint32_t I = L * cov::LineBytes; I < (L + 1) * cov::LineBytes; ++I)
+        if (Map.data()[I]) {
+          Nonzero.push_back(L);
+          break;
+        }
+    if (Map.touchedLines() != Nonzero)
+      return "input " + std::to_string(K) + ": " +
+             std::to_string(Map.touchedLines().size()) + " lines flagged, " +
+             std::to_string(Nonzero.size()) + " lines nonzero";
+  }
+  return "";
 }
 
 } // namespace test

@@ -31,6 +31,7 @@
 #include "lang/Compile.h"
 #include "strategy/BuildCache.h"
 #include "support/Env.h"
+#include "targets/Targets.h"
 #include "vm/Image.h"
 #include "vm/Vm.h"
 
@@ -163,6 +164,51 @@ TEST(VmFastPath, ExampleSubjectsIdentity) {
       expectEngineIdentity(IB.Mod, &SB->shadow(), *IB.Image,
                            workload(S, 48, 0x5eedbeef),
                            IB.Report.FuncKeys.data(), What.c_str());
+    }
+  }
+}
+
+/// The line-flag oracle on both engines: on every paper and example
+/// subject, every feedback mode, the PathAFL call hash on and off and two
+/// map sizes, the lines an engine flags are exactly the lines its map
+/// bumps left nonzero — the precondition of the fuzzer's touched-line map
+/// pipeline (cov/CoverageMap.h).
+TEST(VmFastPath, LineFlagsMarkExactlyNonzeroLines) {
+  std::vector<Subject> Subjects = targets::allSubjects();
+  for (Subject &S : exampleSubjects())
+    Subjects.push_back(std::move(S));
+  for (const Subject &S : Subjects) {
+    BuildCache Cache;
+    std::shared_ptr<SubjectBuild> SB = Cache.get(S);
+    ASSERT_TRUE(SB->ok()) << S.Name;
+    CampaignOptions O;
+    O.VmMode = vm::VmExecMode::FastPath;
+    const std::vector<fuzz::Input> Inputs = workload(S, 24, 0x11fe);
+    for (instr::Feedback Mode :
+         {instr::Feedback::None, instr::Feedback::EdgePrecise,
+          instr::Feedback::EdgeClassic, instr::Feedback::Path}) {
+      const InstrumentedBuild &IB = SB->instrumented(Mode, O);
+      ASSERT_NE(IB.Image, nullptr);
+      vm::Vm Interp(IB.Mod, &SB->shadow());
+      vm::Vm Fast(IB.Mod, &SB->shadow());
+      Fast.attachImage(IB.Image.get());
+      for (uint32_t Log2 : {10u, 16u}) {
+        for (bool CallHash : {false, true}) {
+          const std::string What =
+              S.Name + "/feedback" + std::to_string(static_cast<int>(Mode)) +
+              "/2^" + std::to_string(Log2) + (CallHash ? "/callhash" : "");
+          EXPECT_EQ(test::lineFlagMismatch(Interp, Inputs, Log2,
+                                           IB.Report.FuncKeys.data(),
+                                           CallHash),
+                    "")
+              << "interpreter " << What;
+          EXPECT_EQ(test::lineFlagMismatch(Fast, Inputs, Log2,
+                                           IB.Report.FuncKeys.data(),
+                                           CallHash),
+                    "")
+              << "fast path " << What;
+        }
+      }
     }
   }
 }

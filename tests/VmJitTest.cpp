@@ -182,6 +182,47 @@ TEST(VmJit, ExampleSubjectsIdentity) {
   }
 }
 
+/// The line-flag oracle on compiled code: the emitBump template and the
+/// pfJitCallHash helper flag exactly the lines the map writes left
+/// nonzero, on every paper and example subject, every feedback mode, the
+/// PathAFL call hash on and off and two map sizes.
+TEST(VmJit, LineFlagsMarkExactlyNonzeroLines) {
+  if (!vm::jit::available())
+    GTEST_SKIP() << "JIT unsupported on this platform";
+  std::vector<Subject> Subjects = targets::allSubjects();
+  for (Subject &S : exampleSubjects())
+    Subjects.push_back(std::move(S));
+  for (const Subject &S : Subjects) {
+    BuildCache Cache;
+    std::shared_ptr<SubjectBuild> SB = Cache.get(S);
+    ASSERT_TRUE(SB->ok()) << S.Name;
+    CampaignOptions O;
+    O.VmMode = vm::VmExecMode::Jit;
+    const std::vector<fuzz::Input> Inputs = workload(S, 24, 0x11fe);
+    for (instr::Feedback Mode :
+         {instr::Feedback::None, instr::Feedback::EdgePrecise,
+          instr::Feedback::EdgeClassic, instr::Feedback::Path}) {
+      const InstrumentedBuild &IB = SB->instrumented(Mode, O);
+      ASSERT_NE(IB.Jit, nullptr);
+      vm::Vm Jit(IB.Mod, &SB->shadow());
+      Jit.attachJit(IB.Jit.get());
+      for (uint32_t Log2 : {10u, 16u}) {
+        for (bool CallHash : {false, true}) {
+          const std::string What =
+              S.Name + "/feedback" + std::to_string(static_cast<int>(Mode)) +
+              "/2^" + std::to_string(Log2) + (CallHash ? "/callhash" : "");
+          EXPECT_EQ(test::lineFlagMismatch(Jit, Inputs, Log2,
+                                           IB.Report.FuncKeys.data(),
+                                           CallHash),
+                    "")
+              << What;
+        }
+      }
+      EXPECT_EQ(Jit.jitRunStats().Fallbacks, 0u) << S.Name;
+    }
+  }
+}
+
 /// Randomized property test: arbitrary generated CFGs (back edges, self
 /// loops, unreachable blocks, step-limit hangs) must execute identically
 /// through compiled code and the interpreter.
