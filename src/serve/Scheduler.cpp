@@ -448,6 +448,10 @@ bool Scheduler::seriesCsv(const std::string &Id, bool Coverage,
     Err = "unknown campaign id";
     return false;
   }
+  if (!telemetry::Compiled) {
+    Err = "series unavailable: telemetry compiled out of this build";
+    return false;
+  }
   const telemetry::CampaignTrace *T = It->second->Last.Trace.get();
   if (!T) {
     Err = "series unavailable (tracing disabled, or the result was served "

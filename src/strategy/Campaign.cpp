@@ -15,7 +15,8 @@
 #include "support/Rng.h"
 
 #include <algorithm>
-#include <cassert>
+#include <functional>
+#include <optional>
 
 namespace pathfuzz {
 namespace strategy {
@@ -58,46 +59,6 @@ namespace {
 using fuzz::ByteReader;
 using fuzz::ByteWriter;
 
-fuzz::FuzzerOptions fuzzerOptions(const InstrumentedBuild &B,
-                                  const CampaignOptions &Opts, uint64_t Seed,
-                                  bool PathAflAssist) {
-  fuzz::FuzzerOptions FO;
-  FO.MapSizeLog2 = Opts.MapSizeLog2;
-  FO.Seed = Seed;
-  FO.Mut.MaxLen = Opts.MaxInputLen;
-  FO.Exec.StepLimit = Opts.StepLimit;
-  FO.PathAflAssist = PathAflAssist;
-  FO.GrowthSampleInterval = Opts.GrowthSampleInterval;
-  // The PathAFL comparator builds on plain AFL 2.52b, which has no
-  // input-to-state stage; our afl/pathafl configs disable the cmp
-  // dictionary accordingly.
-  FO.UseCmpDict = !PathAflAssist;
-  FO.Trace = Opts.Trace;
-  // VM fast path: hand every instance the build's shared pre-decoded
-  // image. Gated on the mode (not just image presence) so a forced
-  // Interpreter campaign ignores an image a previous fast-path campaign
-  // left in the shared cache slot.
-  if (vm::fastPathEnabled(Opts.VmMode))
-    FO.Image = B.Image.get();
-  // JIT engine: hand over the build's shared native program the same way.
-  // Gated on the resolved mode, not pointer presence, for the same
-  // reason as the image above.
-  if (vm::jitEnabled(Opts.VmMode))
-    FO.Jit = B.Jit.get();
-  // Selective (two-tier) execution: byte-identical results either way,
-  // so the knob is resolved per campaign exactly like the engine choice.
-  // The cheap image is only present when the build cache ran under a
-  // selective + fast-path resolution; a null CheapImage falls back to the
-  // interpreter cheap tier inside the fuzzer.
-  if (vm::selectiveEnabled(Opts.Selective)) {
-    FO.Selective = true;
-    FO.CheapImage = B.CheapImage.get();
-    if (vm::jitEnabled(Opts.VmMode))
-      FO.CheapJit = B.CheapJit.get();
-  }
-  return FO;
-}
-
 /// Campaign trace container for this run, or null when tracing is off.
 /// Resume paths pass the checkpoint-carried trace through so completed
 /// instances survive the restart.
@@ -131,6 +92,16 @@ void campaignEvent(telemetry::CampaignTrace *CT, telemetry::EventKind K,
   CT->CampaignEvents.push_back(E);
 }
 
+/// Union a sorted edge list into a sorted edge set.
+void mergeEdges(std::vector<uint32_t> &Set,
+                const std::vector<uint32_t> &Edges) {
+  std::vector<uint32_t> Merged;
+  Merged.reserve(Set.size() + Edges.size());
+  std::set_union(Set.begin(), Set.end(), Edges.begin(), Edges.end(),
+                 std::back_inserter(Merged));
+  Set = std::move(Merged);
+}
+
 /// Fold one fuzzer instance's findings into the campaign aggregate.
 void accumulate(CampaignResult &R, const fuzz::Fuzzer &F,
                 uint64_t ExecOffset) {
@@ -147,13 +118,7 @@ void accumulate(CampaignResult &R, const fuzz::Fuzzer &F,
   }
   for (uint64_t Bug : F.bugIds())
     R.BugIds.insert(Bug);
-
-  std::vector<uint32_t> Edges = F.coveredEdgeList();
-  std::vector<uint32_t> Merged;
-  Merged.reserve(R.EdgeSet.size() + Edges.size());
-  std::set_union(R.EdgeSet.begin(), R.EdgeSet.end(), Edges.begin(),
-                 Edges.end(), std::back_inserter(Merged));
-  R.EdgeSet = std::move(Merged);
+  mergeEdges(R.EdgeSet, F.coveredEdgeList());
 
   for (auto [Execs, QueueSize] : F.stats().QueueGrowth)
     R.QueueGrowth.push_back({ExecOffset + Execs, QueueSize});
@@ -204,7 +169,9 @@ const InstrumentedBuild *instrumentOrError(SubjectBuild &SB,
 
 //===----------------------------------------------------------------------===//
 // CampaignResult serialization — the byte-identity oracle and the carrier
-// for partial results inside multi-round checkpoints.
+// for partial results inside checkpoints. The reader rejects what would
+// break the aggregate's invariants later: an unknown kind and an edge set
+// that is not strictly ascending.
 //===----------------------------------------------------------------------===//
 
 void writeCampaignResult(ByteWriter &W, const CampaignResult &R) {
@@ -233,7 +200,10 @@ void writeCampaignResult(ByteWriter &W, const CampaignResult &R) {
 
 CampaignResult readCampaignResult(ByteReader &Rd) {
   CampaignResult R;
-  R.Kind = static_cast<FuzzerKind>(Rd.u8());
+  uint8_t Kind = Rd.u8();
+  if (Kind > static_cast<uint8_t>(FuzzerKind::Prescient))
+    Rd.invalidate();
+  R.Kind = static_cast<FuzzerKind>(Kind);
   R.Execs = Rd.u64();
   R.FinalQueueSize = Rd.u64();
   R.TotalCrashes = Rd.u64();
@@ -245,6 +215,10 @@ CampaignResult readCampaignResult(ByteReader &Rd) {
   std::vector<uint64_t> Bug = Rd.vecU64();
   R.BugIds.insert(Bug.begin(), Bug.end());
   R.EdgeSet = Rd.vecU32();
+  // Edge sets feed std::set_union, whose precondition is sorted input.
+  if (std::adjacent_find(R.EdgeSet.begin(), R.EdgeSet.end(),
+                         std::greater_equal<uint32_t>()) != R.EdgeSet.end())
+    Rd.invalidate();
   uint64_t NGrowth = Rd.u64();
   if (NGrowth > Rd.remaining() / 16) {
     Rd.invalidate();
@@ -266,484 +240,394 @@ CampaignResult readCampaignResult(ByteReader &Rd) {
 }
 
 //===----------------------------------------------------------------------===//
-// Checkpoint envelope
+// Phase programs
 //===----------------------------------------------------------------------===//
 //
-// A campaign checkpoint is sealSnapshot() over:
+// Every FuzzerKind is a list of phases, and one loop (runPhases) runs them
+// all. A phase is one fuzzer instance: a feedback mode, a seed, a budget,
+// and how its queue hands off to the next phase. Single-phase kinds fuzz
+// the whole budget with one instance ("main"); cull and cull_r split it
+// into CullRounds rounds ("roundN") with a cull between rounds; opp runs
+// edge feedback for half the budget ("phase1") and hands an edge-
+// preserving subset of its queue to a path-aware phase ("phase2").
+
+/// How a kind divides its budget into phases. The value doubles as the
+/// driver tag at the head of the options fingerprint, whose byte format
+/// predates the phase list.
+enum class Schedule : uint8_t { Single = 0, CullRounds = 1, Opp = 2 };
+
+/// How a finished phase's queue seeds the next phase's instance.
+enum class Handoff : uint8_t {
+  None,
+  /// An edge-coverage-preserving subset (cull rounds, and opp's phase 1,
+  /// whose crashing inputs were never queued).
+  EdgePreserving,
+  /// Appendix D: a random 2-16% of the queue.
+  Random,
+};
+
+struct KindRow {
+  Schedule Sched;
+  /// Feedback of the kind's phases (opp's phase 1 always fuzzes with
+  /// edge feedback).
+  instr::Feedback Mode;
+  bool PathAflAssist;
+  /// Prescient's frontier-score ScheduleWeight.
+  bool FrontierWeight;
+  /// What one phase hands the next: between cull rounds, and from opp's
+  /// edge phase to its path phase.
+  Handoff Cull;
+};
+
+/// Indexed by FuzzerKind.
+constexpr KindRow KindTable[] = {
+    {Schedule::Single, instr::Feedback::EdgePrecise, false, false,
+     Handoff::None}, // pcguard
+    {Schedule::Single, instr::Feedback::Path, false, false,
+     Handoff::None}, // path
+    {Schedule::CullRounds, instr::Feedback::Path, false, false,
+     Handoff::EdgePreserving}, // cull
+    {Schedule::CullRounds, instr::Feedback::Path, false, false,
+     Handoff::Random}, // cull_r
+    {Schedule::Opp, instr::Feedback::Path, false, false,
+     Handoff::EdgePreserving}, // opp
+    {Schedule::Single, instr::Feedback::EdgeClassic, false, false,
+     Handoff::None}, // afl
+    {Schedule::Single, instr::Feedback::EdgeClassic, true, false,
+     Handoff::None}, // pathafl
+    {Schedule::Single, instr::Feedback::EdgePrecise, false, true,
+     Handoff::None}, // prescient
+};
+
+static_assert(sizeof(KindTable) / sizeof(KindTable[0]) ==
+                  static_cast<size_t>(FuzzerKind::Prescient) + 1,
+              "one KindTable row per FuzzerKind");
+
+const KindRow &kindRow(FuzzerKind K) {
+  return KindTable[static_cast<uint8_t>(K)];
+}
+
+struct Phase {
+  instr::Feedback Mode;
+  bool PathAflAssist;
+  bool FrontierWeight;
+  uint64_t Seed;
+  uint64_t Budget;
+  /// The last cull round gets whatever remains of the overall budget
+  /// instead (the paper's driver subtracts culling costs the same way).
+  bool TakeRemaining = false;
+  /// QueueGrowth offset fixed by the schedule: opp's phase 2 plots from
+  /// its nominal start, not from where phase 1 actually stopped. Unset,
+  /// the phase's actual start.
+  std::optional<uint64_t> GrowthOffset;
+  /// False for opp's phase 1, which contributes only execs and covered
+  /// edges: the paper credits opp with phase 2's findings alone.
+  bool CountFindings = true;
+  Handoff Next = Handoff::None;
+  /// Instance label and PhaseStarted argument bytes.
+  std::string Label;
+  uint32_t EventA32 = 0;
+  uint8_t EventA8 = 0;
+};
+
+uint32_t phaseCount(const CampaignOptions &Opts) {
+  switch (kindRow(Opts.Kind).Sched) {
+  case Schedule::Single:
+    return 1;
+  case Schedule::CullRounds:
+    return std::max<uint32_t>(1, Opts.CullRounds);
+  case Schedule::Opp:
+    return 2;
+  }
+  return 1;
+}
+
+Phase phaseAt(const CampaignOptions &Opts, uint32_t I) {
+  const KindRow &Row = kindRow(Opts.Kind);
+  Phase P;
+  P.Mode = Row.Mode;
+  P.PathAflAssist = Row.PathAflAssist;
+  P.FrontierWeight = Row.FrontierWeight;
+  switch (Row.Sched) {
+  case Schedule::Single:
+    P.Seed = Opts.Seed;
+    P.Budget = Opts.ExecBudget;
+    P.Label = "main";
+    break;
+  case Schedule::CullRounds: {
+    uint32_t Rounds = phaseCount(Opts);
+    P.Seed = Opts.Seed + I * 7919;
+    P.Budget = std::max<uint64_t>(1, Opts.ExecBudget / Rounds);
+    P.TakeRemaining = I + 1 == Rounds;
+    P.Next = P.TakeRemaining ? Handoff::None : Row.Cull;
+    P.Label = "round" + std::to_string(I);
+    P.EventA32 = I;
+    break;
+  }
+  case Schedule::Opp:
+    if (I == 0) {
+      P.Mode = instr::Feedback::EdgePrecise;
+      P.Seed = Opts.Seed ^ 0x0bb;
+      P.Budget = Opts.ExecBudget / 2;
+      P.CountFindings = false;
+      P.Next = Row.Cull;
+    } else {
+      P.Seed = Opts.Seed ^ 0x0bb1e5;
+      P.Budget = Opts.ExecBudget - Opts.ExecBudget / 2;
+      P.GrowthOffset = Opts.ExecBudget / 2;
+    }
+    P.Label = "phase" + std::to_string(I + 1);
+    P.EventA8 = static_cast<uint8_t>(I + 1);
+    break;
+  }
+  return P;
+}
+
+/// Prescient's weight over the subject's cached interprocedural
+/// reachability summary (shared read-only across trials like the images).
+/// A pure function of the entry and the covered-edge bitmap, so a resumed
+/// campaign, which re-installs it, stays byte-identical.
+decltype(fuzz::FuzzerOptions::ScheduleWeight)
+frontierWeight(SubjectBuild &SB) {
+  std::shared_ptr<const analysis::ReachabilitySummary> RS = SB.reachability();
+  return [RS](const fuzz::QueueEntry &E, const std::vector<uint8_t> &Covered) {
+    uint64_t Frontier = RS->frontierScore(E.EdgeSet, Covered);
+    // 16 = neutral; each frontier block adds 1/16 of base energy,
+    // saturating at 16x so one seed cannot monopolize the schedule.
+    return static_cast<uint32_t>(16 + std::min<uint64_t>(Frontier, 240));
+  };
+}
+
+/// The seeds a finished phase hands to the next one. Culling re-executes
+/// them in the next instance's addSeed() calls, so the cost is charged
+/// against the budget, as the paper's driver does.
+std::vector<fuzz::Input> handoffSeeds(Handoff H, const fuzz::Corpus &Q,
+                                      Rng &CullRng,
+                                      const std::vector<fuzz::Input> &Initial) {
+  std::vector<fuzz::Input> Out;
+  if (H == Handoff::EdgePreserving) {
+    for (size_t Index : Q.edgePreservingSubset())
+      Out.push_back(Q[Index].Data);
+  } else {
+    uint64_t KeepPermille = 20 + CullRng.below(141); // 2.0% .. 16.0%
+    size_t Keep = std::max<size_t>(
+        1, static_cast<size_t>(Q.size() * KeepPermille / 1000));
+    std::vector<size_t> All(Q.size());
+    for (size_t I = 0; I < All.size(); ++I)
+      All[I] = I;
+    for (size_t I = 0; I < Keep && I < All.size(); ++I) {
+      size_t J = I + CullRng.index(All.size() - I);
+      std::swap(All[I], All[J]);
+      Out.push_back(Q[All[I]].Data);
+    }
+  }
+  if (Out.empty())
+    Out = Initial;
+  return Out;
+}
+
+/// The fuzzer options of phase P, which starts ExecOffset execs into the
+/// campaign.
+fuzz::FuzzerOptions phaseOptions(SubjectBuild &SB, const InstrumentedBuild &B,
+                                 const CampaignOptions &Opts, const Phase &P,
+                                 uint64_t ExecOffset) {
+  fuzz::FuzzerOptions FO;
+  FO.MapSizeLog2 = Opts.MapSizeLog2;
+  FO.Seed = P.Seed;
+  FO.Mut.MaxLen = Opts.MaxInputLen;
+  FO.Exec.StepLimit = Opts.StepLimit;
+  FO.PathAflAssist = P.PathAflAssist;
+  FO.GrowthSampleInterval = Opts.GrowthSampleInterval;
+  // The PathAFL comparator builds on plain AFL 2.52b, which has no
+  // input-to-state stage; our afl/pathafl configs disable the cmp
+  // dictionary accordingly.
+  FO.UseCmpDict = !P.PathAflAssist;
+  FO.Trace = Opts.Trace;
+  if (P.FrontierWeight)
+    FO.ScheduleWeight = frontierWeight(SB);
+  FO.CheckpointInterval = Opts.CheckpointInterval;
+  FO.CheckpointBase = ExecOffset;
+  FO.StopRequest = Opts.StopRequest;
+  if (Opts.WatchdogExecLimit > ExecOffset)
+    FO.ExecHardLimit = Opts.WatchdogExecLimit - ExecOffset;
+  // VM fast path: hand every instance the build's shared pre-decoded
+  // image. Gated on the mode (not just image presence) so a forced
+  // Interpreter campaign ignores an image a previous fast-path campaign
+  // left in the shared cache slot.
+  if (vm::fastPathEnabled(Opts.VmMode))
+    FO.Image = B.Image.get();
+  // JIT engine: hand over the build's shared native program the same way.
+  // Gated on the resolved mode, not pointer presence, for the same
+  // reason as the image above.
+  if (vm::jitEnabled(Opts.VmMode))
+    FO.Jit = B.Jit.get();
+  // Selective (two-tier) execution: byte-identical results either way,
+  // so the knob is resolved per campaign exactly like the engine choice.
+  // The cheap image is only present when the build cache ran under a
+  // selective + fast-path resolution; a null CheapImage falls back to the
+  // interpreter cheap tier inside the fuzzer.
+  if (vm::selectiveEnabled(Opts.Selective)) {
+    FO.Selective = true;
+    FO.CheapImage = B.CheapImage.get();
+    if (vm::jitEnabled(Opts.VmMode))
+      FO.CheapJit = B.CheapJit.get();
+  }
+  return FO;
+}
+
+//===----------------------------------------------------------------------===//
+// Checkpoint frame
+//===----------------------------------------------------------------------===//
 //
-//   u8 driver tag (0 plain / 1 cull / 2 opp)   u8 FuzzerKind
-//   options fingerprint (every option the schedule depends on)
-//   driver-specific state, ending in a nested Fuzzer::snapshot() blob
+// A campaign checkpoint is sealSnapshot() over one resume record:
+//
+//   u8 frame marker (PhaseFrame)
+//   options fingerprint (writeOptionsFingerprint)
+//   u32 phase index             u64 exec offset (completed phases' execs)
+//   CampaignResult of the completed phases
+//   4 x u64 cull RNG state
+//   campaign trace of the completed phases (telemetry::writeCampaignTrace)
+//   nested Fuzzer::snapshot() blob of the live phase
 //
 // The fingerprint pins the resume to the exact original configuration;
 // the robustness knobs themselves (checkpoint interval, watchdog) are
 // deliberately excluded — they never affect results, so a run may be
-// resumed under a different checkpoint cadence.
+// resumed under a different checkpoint cadence. Frames from before the
+// phase list began directly with the fingerprint's driver tag (0..2).
 
-constexpr uint8_t TagPlain = 0;
-constexpr uint8_t TagCull = 1;
-constexpr uint8_t TagOpp = 2;
+constexpr uint8_t PhaseFrame = 0x50;
 
-uint8_t driverTag(FuzzerKind K) {
-  switch (K) {
-  case FuzzerKind::Cull:
-  case FuzzerKind::CullRandom:
-    return TagCull;
-  case FuzzerKind::Opp:
-    return TagOpp;
-  default:
-    return TagPlain;
-  }
-}
-
-// The header is the public writeOptionsFingerprint (Campaign.h): the
-// durable store's manifest pins the same fields, so a checkpoint that
-// matches the manifest necessarily matches the resume options.
-
-bool readCheckpointHeader(ByteReader &Rd, const CampaignOptions &Opts) {
-  bool Ok = Rd.u8() == driverTag(Opts.Kind);
-  Ok &= Rd.u8() == static_cast<uint8_t>(Opts.Kind);
-  Ok &= Rd.u64() == Opts.ExecBudget;
-  Ok &= Rd.u64() == Opts.Seed;
-  Ok &= Rd.u32() == Opts.MapSizeLog2;
-  Ok &= Rd.u32() == Opts.CullRounds;
-  Ok &= Rd.u64() == Opts.MaxInputLen;
-  Ok &= Rd.u64() == Opts.StepLimit;
-  Ok &= Rd.u8() == static_cast<uint8_t>(Opts.Placement);
-  Ok &= Rd.u32() == Opts.GrowthSampleInterval;
-  return Ok && Rd.ok();
-}
-
-//===----------------------------------------------------------------------===//
-// Drivers
-//===----------------------------------------------------------------------===//
-
-/// Parsed driver state for a resume; drivers start mid-stream when given
-/// one of these instead of from scratch.
-struct PlainResume {
-  std::vector<uint8_t> FuzzBlob;
-};
-
-struct CullResume {
-  uint32_t Round = 0;
+struct ResumeRecord {
+  uint32_t Phase = 0;
   uint64_t ExecOffset = 0;
   CampaignResult Partial;
   uint64_t RngState[4] = {0, 0, 0, 0};
-  /// Telemetry collected for completed rounds (null when untraced).
+  /// Telemetry of the completed phases (null when untraced); the live
+  /// phase's recorder rides inside FuzzBlob.
   std::shared_ptr<telemetry::CampaignTrace> Trace;
   std::vector<uint8_t> FuzzBlob;
 };
 
-struct OppResume {
-  uint8_t Phase = 1;
-  uint64_t Phase1Execs = 0;               // phase 2 only
-  std::vector<uint32_t> Phase1Edges;      // phase 2 only
-  /// Phase-1 telemetry (phase 2 only; null when untraced).
-  std::shared_ptr<telemetry::CampaignTrace> Trace;
-  std::vector<uint8_t> FuzzBlob;
-};
+//===----------------------------------------------------------------------===//
+// The campaign loop
+//===----------------------------------------------------------------------===//
 
-CampaignResult runPlain(SubjectBuild &SB, const CampaignOptions &Opts,
-                        instr::Feedback Mode, bool PathAflAssist,
-                        CampaignError *Err, const PlainResume *Resume) {
-  const InstrumentedBuild *B = instrumentOrError(SB, Mode, Opts, Err);
-  if (!B)
-    return {};
-
-  fuzz::FuzzerOptions FO = fuzzerOptions(*B, Opts, Opts.Seed, PathAflAssist);
-  // Prescient: install the frontier-score scheduling weight over the
-  // subject's cached interprocedural reachability summary (one per
-  // subject, shared read-only across trials like the images). The hook is
-  // a pure function of the entry and the covered-edge bitmap, so a
-  // resumed campaign — which re-installs it here — stays byte-identical.
-  if (Opts.Kind == FuzzerKind::Prescient) {
-    std::shared_ptr<const analysis::ReachabilitySummary> RS =
-        SB.reachability();
-    FO.ScheduleWeight = [RS](const fuzz::QueueEntry &E,
-                             const std::vector<uint8_t> &Covered) {
-      uint64_t Frontier = RS->frontierScore(E.EdgeSet, Covered);
-      // 16 = neutral; each frontier block adds 1/16 of base energy,
-      // saturating at 16x so one seed cannot monopolize the schedule.
-      return static_cast<uint32_t>(16 + std::min<uint64_t>(Frontier, 240));
-    };
-  }
-  FO.CheckpointInterval = Opts.CheckpointInterval;
-  FO.ExecHardLimit = Opts.WatchdogExecLimit;
-  FO.StopRequest = Opts.StopRequest;
-  if (Opts.CheckpointSink && Opts.CheckpointInterval)
-    FO.OnCheckpoint = [&Opts](const fuzz::Fuzzer &F) {
-      ByteWriter W;
-      writeOptionsFingerprint(W, Opts);
-      W.blob(F.snapshot());
-      Opts.CheckpointSink(fuzz::sealSnapshot(W.take()));
-    };
-
-  fuzz::Fuzzer F(B->Mod, B->Report, SB.shadow(), FO);
-  std::shared_ptr<telemetry::CampaignTrace> CT =
-      makeCampaignTrace(SB, Opts, nullptr);
-  // A single-instance campaign always records its (one) phase start, even
-  // on resume: the event's position is fixed at exec 0, so resumed and
-  // uninterrupted traces agree.
-  campaignEvent(CT.get(), telemetry::EventKind::PhaseStarted, 0);
-  if (Resume) {
-    if (!F.restore(Resume->FuzzBlob)) {
-      setError(Err, "checkpoint restore failed (incompatible state)", "",
-               false);
-      return {};
-    }
-  } else {
-    for (const fuzz::Input &Seed : SB.subject().Seeds)
-      F.addSeed(Seed);
-  }
-  F.run(Opts.ExecBudget);
-  if (F.hardLimitHit()) {
-    setError(Err, "exec watchdog tripped", "", false, /*Watchdog=*/true);
+CampaignResult runPhases(SubjectBuild &SB, const CampaignOptions &Opts,
+                         CampaignError *Err, const ResumeRecord *Resume) {
+  if (!SB.ok()) {
+    setError(Err, SB.error(), SB.faultSite(), SB.transientError());
     return {};
   }
-
+  const uint32_t NumPhases = phaseCount(Opts);
   CampaignResult R;
   R.Kind = Opts.Kind;
-  accumulate(R, F, 0);
-  R.FinalQueueSize = F.corpus().size();
-  if (CT && F.trace())
-    telemetry::collectInstance(*CT, "main", 0, *F.trace());
-  R.Trace = CT;
-  if (F.preempted())
-    setPreempted(Err); // R carries the partial findings so far
-  return R;
-}
-
-CampaignResult runCull(SubjectBuild &SB, const CampaignOptions &Opts,
-                       bool RandomCull, CampaignError *Err,
-                       const CullResume *Resume) {
-  const InstrumentedBuild *B =
-      instrumentOrError(SB, instr::Feedback::Path, Opts, Err);
-  if (!B)
-    return {};
-
-  CampaignResult R;
-  R.Kind = Opts.Kind;
-
-  uint32_t Rounds = std::max<uint32_t>(1, Opts.CullRounds);
-  uint64_t PerRound = std::max<uint64_t>(1, Opts.ExecBudget / Rounds);
-  std::vector<fuzz::Input> RoundSeeds = SB.subject().Seeds;
-  std::vector<int64_t> CarriedDict;
-  Rng CullRng(Opts.Seed ^ 0xc0ffee);
   uint64_t ExecOffset = 0;
-  uint32_t StartRound = 0;
+  uint32_t Start = 0;
+  Rng CullRng(Opts.Seed ^ 0xc0ffee);
   if (Resume) {
-    // Everything a mid-round checkpoint depends on: completed rounds'
-    // aggregate, the cull RNG stream position, and the live instance (in
-    // FuzzBlob). RoundSeeds and the carried dictionary are only consumed
-    // when *starting* an instance, which a resume never does — the
-    // restored instance already absorbed them.
+    // Everything a checkpoint depends on: the completed phases' aggregate
+    // and trace, the cull RNG stream position, and the live instance (in
+    // FuzzBlob). The handoff seeds and the carried dictionary are only
+    // consumed when *starting* an instance, which a resume never does —
+    // the restored instance already absorbed them.
     R = Resume->Partial;
-    StartRound = Resume->Round;
+    Start = Resume->Phase;
     ExecOffset = Resume->ExecOffset;
     CullRng.loadState(Resume->RngState);
   }
   std::shared_ptr<telemetry::CampaignTrace> CT =
       makeCampaignTrace(SB, Opts, Resume ? Resume->Trace : nullptr);
+  std::vector<fuzz::Input> Seeds = SB.subject().Seeds;
+  std::vector<int64_t> Dict;
+  const InstrumentedBuild *B = nullptr;
 
-  for (uint32_t Round = StartRound; Round < Rounds; ++Round) {
-    // The last round gets whatever remains of the overall budget (the
-    // paper's driver subtracts accumulated culling costs the same way).
-    uint64_t Remaining =
-        Opts.ExecBudget > ExecOffset ? Opts.ExecBudget - ExecOffset : 0;
-    uint64_t Budget = (Round + 1 == Rounds) ? Remaining : PerRound;
-
-    fuzz::FuzzerOptions FO =
-        fuzzerOptions(*B, Opts, Opts.Seed + Round * 7919, false);
-    FO.CheckpointInterval = Opts.CheckpointInterval;
-    FO.CheckpointBase = ExecOffset;
-    FO.StopRequest = Opts.StopRequest;
-    if (Opts.WatchdogExecLimit) {
-      if (ExecOffset >= Opts.WatchdogExecLimit) {
-        setError(Err, "exec watchdog tripped", "", false, /*Watchdog=*/true);
+  for (uint32_t I = Start; I < NumPhases; ++I) {
+    const Phase P = phaseAt(Opts, I);
+    // Look the build up only when the feedback changes: every lookup
+    // counts in the cache's hit statistics.
+    if (!B || B->Report.Mode != P.Mode) {
+      B = instrumentOrError(SB, P.Mode, Opts, Err);
+      if (!B)
         return {};
-      }
-      FO.ExecHardLimit = Opts.WatchdogExecLimit - ExecOffset;
     }
+    if (Opts.WatchdogExecLimit && ExecOffset >= Opts.WatchdogExecLimit) {
+      setError(Err, "exec watchdog tripped", "", false, /*Watchdog=*/true);
+      return {};
+    }
+    fuzz::FuzzerOptions FO = phaseOptions(SB, *B, Opts, P, ExecOffset);
     if (Opts.CheckpointSink && Opts.CheckpointInterval)
-      FO.OnCheckpoint = [&Opts, &R, &CullRng, CT, Round,
+      FO.OnCheckpoint = [&Opts, &R, &CullRng, &CT, I,
                          ExecOffset](const fuzz::Fuzzer &F) {
         ByteWriter W;
+        W.u8(PhaseFrame);
         writeOptionsFingerprint(W, Opts);
-        W.u32(Round);
+        W.u32(I);
         W.u64(ExecOffset);
         writeCampaignResult(W, R);
         uint64_t RS[4];
         CullRng.saveState(RS);
         for (uint64_t S : RS)
           W.u64(S);
-        // Completed rounds' telemetry; the live round's recorder rides
-        // inside the fuzzer snapshot below.
         telemetry::writeCampaignTrace(W, CT.get());
         W.blob(F.snapshot());
         Opts.CheckpointSink(fuzz::sealSnapshot(W.take()));
       };
 
     fuzz::Fuzzer F(B->Mod, B->Report, SB.shadow(), FO);
-    if (Resume && Round == StartRound) {
-      if (!F.restore(Resume->FuzzBlob)) {
-        setError(Err, "checkpoint restore failed (incompatible state)", "",
-                 false);
-        return {};
-      }
-    } else {
-      // Fresh round start: the carried checkpoint trace (if any) already
-      // holds this event for the resumed round.
+    const bool Restored = Resume && I == Start;
+    if (Restored && !F.restore(Resume->FuzzBlob)) {
+      setError(Err, "checkpoint restore failed (incompatible state)", "",
+               false);
+      return {};
+    }
+    // Once per phase per trace: a carried trace already holds the event
+    // for the restored phase.
+    if (!Restored || !Resume->Trace)
       campaignEvent(CT.get(), telemetry::EventKind::PhaseStarted, ExecOffset,
-                    Round);
+                    P.EventA32, 0, P.EventA8);
+    if (!Restored) {
       // Carry the cmp dictionary across instances (AFL++ re-mines cmplog
       // from the seed queue on restart).
-      F.seedDict(CarriedDict);
-      for (const fuzz::Input &Seed : RoundSeeds)
+      F.seedDict(Dict);
+      for (const fuzz::Input &Seed : Seeds)
         F.addSeed(Seed);
     }
+    uint64_t Budget = P.Budget;
+    if (P.TakeRemaining)
+      Budget = Opts.ExecBudget > ExecOffset ? Opts.ExecBudget - ExecOffset : 0;
     F.run(Budget);
     if (F.hardLimitHit()) {
       setError(Err, "exec watchdog tripped", "", false, /*Watchdog=*/true);
       return {};
     }
-    if (F.preempted()) {
-      // Partial aggregate: completed rounds plus the live instance so far.
-      CampaignResult P = R;
-      accumulate(P, F, ExecOffset);
-      P.FinalQueueSize = F.corpus().size();
-      if (CT && F.trace())
-        telemetry::collectInstance(*CT, "round" + std::to_string(Round),
-                                   ExecOffset, *F.trace());
-      P.Trace = CT;
-      setPreempted(Err);
-      return P;
+
+    // A preempted phase counts in full, whatever its accounting: the
+    // partial result is informational, and a resume reconverges to the
+    // final one.
+    if (P.CountFindings || F.preempted()) {
+      accumulate(R, F, P.GrowthOffset.value_or(ExecOffset));
+      R.FinalQueueSize = F.corpus().size();
+    } else {
+      R.Execs += F.stats().Execs;
+      mergeEdges(R.EdgeSet, F.coveredEdgeList());
     }
-    accumulate(R, F, ExecOffset);
     if (CT && F.trace())
-      telemetry::collectInstance(*CT, "round" + std::to_string(Round),
-                                 ExecOffset, *F.trace());
-    ExecOffset += F.stats().Execs;
-    R.FinalQueueSize = F.corpus().size();
-    CarriedDict = F.cmpDict();
-
-    if (Round + 1 == Rounds)
-      break;
-
-    // Cull: reduce the queue for the next round. The retained seeds get
-    // re-executed by the next instance's addSeed() calls, so the culling
-    // cost is charged against the overall budget, as the paper's driver
-    // subtracts culling time from the final round.
-    const fuzz::Corpus &Q = F.corpus();
-    RoundSeeds.clear();
-    if (!RandomCull) {
-      for (size_t Index : Q.edgePreservingSubset())
-        RoundSeeds.push_back(Q[Index].Data);
-    } else {
-      // Appendix D: retain a random 2-16% of the queue.
-      uint64_t KeepPermille = 20 + CullRng.below(141); // 2.0% .. 16.0%
-      size_t Keep = std::max<size_t>(
-          1, static_cast<size_t>(Q.size() * KeepPermille / 1000));
-      std::vector<size_t> All(Q.size());
-      for (size_t I = 0; I < All.size(); ++I)
-        All[I] = I;
-      for (size_t I = 0; I < Keep && I < All.size(); ++I) {
-        size_t J = I + CullRng.index(All.size() - I);
-        std::swap(All[I], All[J]);
-        RoundSeeds.push_back(Q[All[I]].Data);
-      }
-    }
-    if (RoundSeeds.empty())
-      RoundSeeds = SB.subject().Seeds;
-    campaignEvent(CT.get(), telemetry::EventKind::SeedCulled, ExecOffset,
-                  static_cast<uint32_t>(RoundSeeds.size()), Q.size());
-  }
-  R.Trace = CT;
-  return R;
-}
-
-CampaignResult runOpp(SubjectBuild &SB, const CampaignOptions &Opts,
-                      CampaignError *Err, const OppResume *Resume) {
-  uint64_t Phase1Budget = Opts.ExecBudget / 2;
-  uint64_t Phase1Execs = 0;
-  std::vector<uint32_t> Phase1Edges;
-  std::vector<fuzz::Input> Handoff;
-  std::vector<int64_t> HandoffDict;
-  std::shared_ptr<telemetry::CampaignTrace> CT =
-      makeCampaignTrace(SB, Opts, Resume ? Resume->Trace : nullptr);
-
-  if (!Resume || Resume->Phase == 1) {
-    // Phase-1 checkpoints don't carry the campaign trace (nothing is
-    // collected yet), so this event is re-recorded on a phase-1 resume —
-    // its position is fixed at exec 0 either way.
-    campaignEvent(CT.get(), telemetry::EventKind::PhaseStarted, 0, 0, 0,
-                  /*A8=*/1);
-    // Phase 1: edge-coverage exploration for half the budget.
-    const InstrumentedBuild *EdgeBuild =
-        instrumentOrError(SB, instr::Feedback::EdgePrecise, Opts, Err);
-    if (!EdgeBuild)
-      return {};
-    fuzz::FuzzerOptions FO =
-        fuzzerOptions(*EdgeBuild, Opts, Opts.Seed ^ 0x0bb, false);
-    FO.CheckpointInterval = Opts.CheckpointInterval;
-    FO.ExecHardLimit = Opts.WatchdogExecLimit;
-    FO.StopRequest = Opts.StopRequest;
-    if (Opts.CheckpointSink && Opts.CheckpointInterval)
-      FO.OnCheckpoint = [&Opts](const fuzz::Fuzzer &F) {
-        ByteWriter W;
-        writeOptionsFingerprint(W, Opts);
-        W.u8(1); // phase
-        W.blob(F.snapshot());
-        Opts.CheckpointSink(fuzz::sealSnapshot(W.take()));
-      };
-    fuzz::Fuzzer Phase1(EdgeBuild->Mod, EdgeBuild->Report, SB.shadow(), FO);
-    if (Resume) {
-      if (!Phase1.restore(Resume->FuzzBlob)) {
-        setError(Err, "checkpoint restore failed (incompatible state)", "",
-                 false);
-        return {};
-      }
-    } else {
-      for (const fuzz::Input &Seed : SB.subject().Seeds)
-        Phase1.addSeed(Seed);
-    }
-    Phase1.run(Phase1Budget);
-    if (Phase1.hardLimitHit()) {
-      setError(Err, "exec watchdog tripped", "", false, /*Watchdog=*/true);
-      return {};
-    }
-    if (Phase1.preempted()) {
-      // Informational partial: phase-1 findings (the final opp result
-      // deliberately counts only phase 2's — a resume reconverges to it).
-      CampaignResult P;
-      P.Kind = Opts.Kind;
-      accumulate(P, Phase1, 0);
-      P.FinalQueueSize = Phase1.corpus().size();
-      if (CT && Phase1.trace())
-        telemetry::collectInstance(*CT, "phase1", 0, *Phase1.trace());
-      P.Trace = CT;
+      telemetry::collectInstance(*CT, P.Label, ExecOffset, *F.trace());
+    if (F.preempted()) {
+      R.Trace = CT;
       setPreempted(Err);
-      return P;
+      return R;
     }
-
-    // Queue hand-off: crashing inputs were never queued; trim to an
-    // edge-coverage-preserving subset (the paper's pre-processing).
-    const fuzz::Corpus &Q1 = Phase1.corpus();
-    for (size_t Index : Q1.edgePreservingSubset())
-      Handoff.push_back(Q1[Index].Data);
-    if (Handoff.empty())
-      Handoff = SB.subject().Seeds;
-    HandoffDict = Phase1.cmpDict();
-    Phase1Execs = Phase1.stats().Execs;
-    Phase1Edges = Phase1.coveredEdgeList();
-    if (CT && Phase1.trace())
-      telemetry::collectInstance(*CT, "phase1", 0, *Phase1.trace());
-    campaignEvent(CT.get(), telemetry::EventKind::SeedCulled, Phase1Execs,
-                  static_cast<uint32_t>(Handoff.size()), Q1.size());
-  } else {
-    Phase1Execs = Resume->Phase1Execs;
-    Phase1Edges = Resume->Phase1Edges;
-  }
-
-  // Phase 2: path-aware fuzzing on the inherited queue. Only this phase's
-  // findings count as opp's (the paper does not credit phase-1 bugs).
-  const InstrumentedBuild *PathBuild =
-      instrumentOrError(SB, instr::Feedback::Path, Opts, Err);
-  if (!PathBuild)
-    return {};
-  fuzz::FuzzerOptions FO2 =
-      fuzzerOptions(*PathBuild, Opts, Opts.Seed ^ 0x0bb1e5, false);
-  FO2.CheckpointInterval = Opts.CheckpointInterval;
-  FO2.CheckpointBase = Phase1Execs;
-  FO2.StopRequest = Opts.StopRequest;
-  if (Opts.WatchdogExecLimit) {
-    if (Phase1Execs >= Opts.WatchdogExecLimit) {
-      setError(Err, "exec watchdog tripped", "", false, /*Watchdog=*/true);
-      return {};
+    ExecOffset += F.stats().Execs;
+    Dict = F.cmpDict();
+    if (P.Next != Handoff::None) {
+      Seeds = handoffSeeds(P.Next, F.corpus(), CullRng, SB.subject().Seeds);
+      campaignEvent(CT.get(), telemetry::EventKind::SeedCulled, ExecOffset,
+                    static_cast<uint32_t>(Seeds.size()), F.corpus().size());
     }
-    FO2.ExecHardLimit = Opts.WatchdogExecLimit - Phase1Execs;
   }
-  if (Opts.CheckpointSink && Opts.CheckpointInterval)
-    FO2.OnCheckpoint = [&Opts, Phase1Execs, &Phase1Edges,
-                        CT](const fuzz::Fuzzer &F) {
-      ByteWriter W;
-      writeOptionsFingerprint(W, Opts);
-      W.u8(2); // phase
-      W.u64(Phase1Execs);
-      W.vecU32(Phase1Edges);
-      // Phase-1 telemetry; the live phase-2 recorder rides inside the
-      // fuzzer snapshot below.
-      telemetry::writeCampaignTrace(W, CT.get());
-      W.blob(F.snapshot());
-      Opts.CheckpointSink(fuzz::sealSnapshot(W.take()));
-    };
-  if (!(Resume && Resume->Phase == 2))
-    campaignEvent(CT.get(), telemetry::EventKind::PhaseStarted, Phase1Execs, 0,
-                  0, /*A8=*/2);
-  fuzz::Fuzzer Phase2(PathBuild->Mod, PathBuild->Report, SB.shadow(), FO2);
-  if (Resume && Resume->Phase == 2) {
-    if (!Phase2.restore(Resume->FuzzBlob)) {
-      setError(Err, "checkpoint restore failed (incompatible state)", "",
-               false);
-      return {};
-    }
-  } else {
-    Phase2.seedDict(HandoffDict); // cmplog re-mining on the handoff
-    for (const fuzz::Input &Seed : Handoff)
-      Phase2.addSeed(Seed);
-  }
-  Phase2.run(Opts.ExecBudget - Phase1Budget);
-  if (Phase2.hardLimitHit()) {
-    setError(Err, "exec watchdog tripped", "", false, /*Watchdog=*/true);
-    return {};
-  }
-
-  CampaignResult R;
-  R.Kind = Opts.Kind;
-  accumulate(R, Phase2, Phase1Budget);
-  R.FinalQueueSize = Phase2.corpus().size();
-  if (CT && Phase2.trace())
-    telemetry::collectInstance(*CT, "phase2", Phase1Execs, *Phase2.trace());
   R.Trace = CT;
-
-  // Edge coverage additionally includes the opportunistic phase-1
-  // exploration, as in Table IV's discussion.
-  std::vector<uint32_t> Merged;
-  std::set_union(R.EdgeSet.begin(), R.EdgeSet.end(), Phase1Edges.begin(),
-                 Phase1Edges.end(), std::back_inserter(Merged));
-  R.EdgeSet = std::move(Merged);
-  R.Execs += Phase1Execs;
-  if (Phase2.preempted())
-    setPreempted(Err); // R is the partial-through-phase-2 aggregate
   return R;
-}
-
-CampaignResult dispatch(SubjectBuild &B, const CampaignOptions &Opts,
-                        CampaignError *Err, const PlainResume *RPlain,
-                        const CullResume *RCull, const OppResume *ROpp) {
-  if (!B.ok()) {
-    setError(Err, B.error(), B.faultSite(), B.transientError());
-    return {};
-  }
-  switch (Opts.Kind) {
-  case FuzzerKind::Pcguard:
-    return runPlain(B, Opts, instr::Feedback::EdgePrecise, false, Err, RPlain);
-  case FuzzerKind::Path:
-    return runPlain(B, Opts, instr::Feedback::Path, false, Err, RPlain);
-  case FuzzerKind::Cull:
-    return runCull(B, Opts, /*RandomCull=*/false, Err, RCull);
-  case FuzzerKind::CullRandom:
-    return runCull(B, Opts, /*RandomCull=*/true, Err, RCull);
-  case FuzzerKind::Opp:
-    return runOpp(B, Opts, Err, ROpp);
-  case FuzzerKind::Afl:
-    return runPlain(B, Opts, instr::Feedback::EdgeClassic, false, Err, RPlain);
-  case FuzzerKind::PathAfl:
-    return runPlain(B, Opts, instr::Feedback::EdgeClassic, true, Err, RPlain);
-  case FuzzerKind::Prescient:
-    // Pcguard feedback; runPlain installs the frontier scheduling weight.
-    return runPlain(B, Opts, instr::Feedback::EdgePrecise, false, Err, RPlain);
-  }
-  return {};
 }
 
 } // namespace
@@ -762,7 +646,7 @@ bool deserializeCampaignResult(const std::vector<uint8_t> &Blob,
 }
 
 void writeOptionsFingerprint(ByteWriter &W, const CampaignOptions &Opts) {
-  W.u8(driverTag(Opts.Kind));
+  W.u8(static_cast<uint8_t>(kindRow(Opts.Kind).Sched));
   W.u8(static_cast<uint8_t>(Opts.Kind));
   W.u64(Opts.ExecBudget);
   W.u64(Opts.Seed);
@@ -780,7 +664,7 @@ bool readOptionsFingerprint(ByteReader &Rd, CampaignOptions &Opts) {
   if (Kind > static_cast<uint8_t>(FuzzerKind::Prescient))
     return false;
   Opts.Kind = static_cast<FuzzerKind>(Kind);
-  if (Tag != driverTag(Opts.Kind))
+  if (Tag != static_cast<uint8_t>(kindRow(Opts.Kind).Sched))
     return false;
   Opts.ExecBudget = Rd.u64();
   Opts.Seed = Rd.u64();
@@ -813,7 +697,7 @@ CampaignResult runCampaign(SubjectBuild &B, const CampaignOptions &Opts,
   // here with StoreDir cleared once recovery is resolved.
   if (!Opts.StoreDir.empty())
     return runStoredCampaign(B, Opts, Err);
-  return dispatch(B, Opts, Err, nullptr, nullptr, nullptr);
+  return runPhases(B, Opts, Err, nullptr);
 }
 
 CampaignResult resumeCampaign(SubjectBuild &B, const CampaignOptions &Opts,
@@ -831,47 +715,34 @@ CampaignResult resumeCampaign(SubjectBuild &B, const CampaignOptions &Opts,
   if (!fuzz::openSnapshot(Checkpoint, Payload))
     return Fail("corrupt or truncated checkpoint");
   ByteReader Rd(Payload);
-  if (!readCheckpointHeader(Rd, Opts))
+  // Legacy frames began with the fingerprint, whose first byte is a
+  // Schedule value.
+  uint8_t Frame = Rd.u8();
+  if (Rd.ok() && Frame <= static_cast<uint8_t>(Schedule::Opp))
+    return Fail("checkpoint predates the phase-list checkpoint frame "
+                "(written by a per-driver build); restart the campaign");
+  ByteWriter Fingerprint;
+  writeOptionsFingerprint(Fingerprint, Opts);
+  const std::vector<uint8_t> Want = Fingerprint.take();
+  std::vector<uint8_t> Got(Want.size());
+  if (Frame != PhaseFrame || !Rd.bytes(Got.data(), Got.size()) || Got != Want)
     return Fail("checkpoint does not match campaign options");
 
-  switch (driverTag(Opts.Kind)) {
-  case TagPlain: {
-    PlainResume PR;
-    PR.FuzzBlob = Rd.blob();
-    if (!Rd.done())
-      return Fail("malformed checkpoint payload");
-    return dispatch(B, Opts, Err, &PR, nullptr, nullptr);
-  }
-  case TagCull: {
-    CullResume CR;
-    CR.Round = Rd.u32();
-    CR.ExecOffset = Rd.u64();
-    CR.Partial = readCampaignResult(Rd);
-    for (uint64_t &S : CR.RngState)
-      S = Rd.u64();
-    CR.Trace = telemetry::readCampaignTrace(Rd);
-    CR.FuzzBlob = Rd.blob();
-    if (!Rd.done() || CR.Round >= std::max<uint32_t>(1, Opts.CullRounds))
-      return Fail("malformed checkpoint payload");
-    return dispatch(B, Opts, Err, nullptr, &CR, nullptr);
-  }
-  case TagOpp: {
-    OppResume OR;
-    OR.Phase = Rd.u8();
-    if (OR.Phase == 2) {
-      OR.Phase1Execs = Rd.u64();
-      OR.Phase1Edges = Rd.vecU32();
-      OR.Trace = telemetry::readCampaignTrace(Rd);
-    } else if (OR.Phase != 1) {
-      return Fail("malformed checkpoint payload");
-    }
-    OR.FuzzBlob = Rd.blob();
-    if (!Rd.done())
-      return Fail("malformed checkpoint payload");
-    return dispatch(B, Opts, Err, nullptr, nullptr, &OR);
-  }
-  }
-  return Fail("malformed checkpoint payload");
+  ResumeRecord Rec;
+  Rec.Phase = Rd.u32();
+  Rec.ExecOffset = Rd.u64();
+  Rec.Partial = readCampaignResult(Rd);
+  for (uint64_t &S : Rec.RngState)
+    S = Rd.u64();
+  Rec.Trace = telemetry::readCampaignTrace(Rd);
+  Rec.FuzzBlob = Rd.blob();
+  if (!Rd.done())
+    return Fail("malformed checkpoint payload");
+  if (Rec.Phase >= phaseCount(Opts))
+    return Fail("checkpoint phase index out of range");
+  if (Rec.Partial.Kind != Opts.Kind)
+    return Fail("checkpoint partial result is for another fuzzer kind");
+  return runPhases(B, Opts, Err, &Rec);
 }
 
 CampaignResult resumeCampaign(const Subject &S, const CampaignOptions &Opts,

@@ -7,7 +7,12 @@
 //
 // The fuzzer configurations of the paper's evaluation (plus the prescient
 // extension), each driving the same fuzzing core with a different feedback
-// and/or exploration-biasing strategy:
+// and/or exploration-biasing strategy. Each is a list of phases — one
+// fuzzer instance apiece — that a single campaign loop runs: one phase
+// for pcguard/path/afl/pathafl/prescient, CullRounds phases for
+// cull/cull_r, two for opp. Every checkpoint is one resume record (phase
+// index, exec offset, the completed phases' partial result, cull RNG
+// state, trace, live fuzzer snapshot), whatever the kind.
 //
 //   pcguard  — AFL++'s default precise edge coverage (the baseline).
 //   path     — Ball-Larus intra-procedural path feedback (Section III-A).
@@ -148,15 +153,14 @@ struct CampaignOptions {
   telemetry::TraceConfig Trace;
 
   /// VM execution engine. Auto (the default) follows the
-  /// PATHFUZZ_VM_FASTPATH and PATHFUZZ_VM_JIT environment knobs (JIT on
-  /// where supported unless either is "0", fast path on unless
-  /// PATHFUZZ_VM_FASTPATH is "0"); Interpreter/FastPath/Jit force one
-  /// engine regardless of the environment (Jit falls back to the fast
-  /// path on unsupported platforms — see vm::jitEnabled). All engines
-  /// produce bit-identical campaign results — they only change per-exec
-  /// cost — so, like the robustness knobs above, this is excluded from
-  /// the checkpoint fingerprint: a run checkpointed under one engine may
-  /// be resumed under another.
+  /// PATHFUZZ_VM_ENGINE environment knob (interp, fastpath or jit; jit
+  /// when unset); Interpreter/FastPath/Jit force one engine regardless of
+  /// the environment (Jit falls back to the fast path on unsupported
+  /// platforms — see vm::jitEnabled). All engines produce bit-identical
+  /// campaign results — they only change per-exec cost — so, like the
+  /// robustness knobs above, this is excluded from the checkpoint
+  /// fingerprint: a run checkpointed under one engine may be resumed
+  /// under another.
   vm::VmExecMode VmMode = vm::VmExecMode::Auto;
 
   /// Two-tier selective execution (fuzz/Fuzzer.h): bulk execs on a cheap
@@ -247,7 +251,11 @@ CampaignResult runCampaign(SubjectBuild &B, const CampaignOptions &Opts,
 /// CheckpointSink. Opts must match the original run's options (the
 /// checkpoint carries a fingerprint and the resume fails on mismatch).
 /// Contract: the returned result is byte-identical (per
-/// serializeCampaignResult) to the uninterrupted run's.
+/// serializeCampaignResult) to the uninterrupted run's. Checkpoints
+/// written before the phase-list frame are refused ("checkpoint predates
+/// the phase-list checkpoint frame"), as are crafted records with an
+/// out-of-range phase, a partial result of another kind, or an edge set
+/// that is not strictly ascending.
 CampaignResult resumeCampaign(SubjectBuild &B, const CampaignOptions &Opts,
                               const std::vector<uint8_t> &Checkpoint,
                               CampaignError *Err = nullptr);

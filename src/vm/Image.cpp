@@ -17,37 +17,33 @@
 namespace pathfuzz {
 namespace vm {
 
+namespace {
+
+/// The engine Mode names, with Auto resolved through PATHFUZZ_VM_ENGINE
+/// ("interp", "fastpath" or "jit"; unset or anything else means jit).
+/// Re-read on every Auto query (not once into a static): it is consulted
+/// once per instrumented build, and tests flip the knob at runtime to pit
+/// the engines against each other.
+VmExecMode resolveEngine(VmExecMode Mode) {
+  if (Mode != VmExecMode::Auto)
+    return Mode;
+  std::string Engine = envStr("PATHFUZZ_VM_ENGINE", "jit");
+  if (Engine == "interp")
+    return VmExecMode::Interpreter;
+  if (Engine == "fastpath")
+    return VmExecMode::FastPath;
+  return VmExecMode::Jit;
+}
+
+} // namespace
+
 bool fastPathEnabled(VmExecMode Mode) {
-  switch (Mode) {
-  case VmExecMode::Interpreter:
-    return false;
-  case VmExecMode::FastPath:
-  case VmExecMode::Jit: // the JIT engine runs on top of the image
-    return true;
-  case VmExecMode::Auto:
-    break;
-  }
-  // Re-read the environment on every Auto query (not once into a static):
-  // it is consulted once per instrumented build, and tests flip the knob
-  // at runtime to pit the engines against each other.
-  return envBool("PATHFUZZ_VM_FASTPATH", true);
+  // The JIT engine runs on top of the image.
+  return resolveEngine(Mode) != VmExecMode::Interpreter;
 }
 
 bool jitEnabled(VmExecMode Mode) {
-  switch (Mode) {
-  case VmExecMode::Interpreter:
-  case VmExecMode::FastPath:
-    return false;
-  case VmExecMode::Jit:
-    return jit::available();
-  case VmExecMode::Auto:
-    break;
-  }
-  // Same contract as fastPathEnabled: re-read the environment on every
-  // Auto query so tests can flip the knob at runtime. An Auto JIT also
-  // requires the fast path (the engine runs on top of the image).
-  return jit::available() && envBool("PATHFUZZ_VM_FASTPATH", true) &&
-         envBool("PATHFUZZ_VM_JIT", true);
+  return resolveEngine(Mode) == VmExecMode::Jit && jit::available();
 }
 
 bool selectiveEnabled(SelectiveMode Mode) {
@@ -59,7 +55,7 @@ bool selectiveEnabled(SelectiveMode Mode) {
   case SelectiveMode::Auto:
     break;
   }
-  // Same contract as fastPathEnabled: re-read the environment on every
+  // Same contract as resolveEngine: re-read the environment on every
   // Auto query so tests can flip the knob at runtime.
   return envBool("PATHFUZZ_SELECTIVE", true);
 }

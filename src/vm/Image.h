@@ -193,22 +193,21 @@ inline constexpr unsigned SnapshotPageShift = 6;
 inline constexpr uint64_t SnapshotPageCells = 1ull << SnapshotPageShift;
 
 /// Selects the VM execution engine for campaign-level drivers. Auto
-/// resolves the PATHFUZZ_VM_FASTPATH and PATHFUZZ_VM_JIT environment
-/// knobs (defaults: both on, so Auto means "the fastest engine this
-/// platform supports"). Results are bit-identical across all three
-/// engines; the knobs exist for benchmarking and for bisecting the
+/// resolves the PATHFUZZ_VM_ENGINE environment knob: "interp",
+/// "fastpath" or "jit" (the default, so Auto means "the fastest engine
+/// this platform supports"). Results are bit-identical across all three
+/// engines; the knob exists for benchmarking and for bisecting the
 /// engines against each other.
 enum class VmExecMode : uint8_t { Auto, Interpreter, FastPath, Jit };
 
 /// Whether Mode resolves to the pre-decoded fast path (or better: the
 /// JIT engine sits on top of it and implies it). Auto consults
-/// PATHFUZZ_VM_FASTPATH on every call (tests flip it at runtime).
+/// PATHFUZZ_VM_ENGINE on every call (tests flip it at runtime).
 bool fastPathEnabled(VmExecMode Mode);
 
-/// Whether Mode resolves to the native JIT engine. Interpreter/FastPath
-/// never do; Jit does whenever the platform supports it (jit::available);
-/// Auto additionally consults PATHFUZZ_VM_JIT on every call (tests flip
-/// it at runtime). jitEnabled(Mode) implies fastPathEnabled(Mode) — the
+/// Whether Mode resolves to the native JIT engine: Jit, or Auto under
+/// PATHFUZZ_VM_ENGINE=jit (or unset), whenever the platform supports it
+/// (jit::available). jitEnabled(Mode) implies fastPathEnabled(Mode) — the
 /// JIT needs the image for PcInfo and the snapshot reset, and executions
 /// its capacity guard rejects fall back to the fast path.
 bool jitEnabled(VmExecMode Mode);

@@ -158,9 +158,14 @@ TEST(Docs, ConfigTableMatchesEnvCallSites) {
         << ", which is neither an env call site, a ctest $ENV read, nor a "
         << "CMake option";
 
-  // The tentpole knob is wired through both sides.
-  EXPECT_TRUE(Used.count("PATHFUZZ_VM_FASTPATH"));
-  EXPECT_TRUE(Documented.count("PATHFUZZ_VM_FASTPATH"));
+  // The engine selector is wired through both sides, and the two nested
+  // boolean knobs it replaced are gone from both.
+  EXPECT_TRUE(Used.count("PATHFUZZ_VM_ENGINE"));
+  EXPECT_TRUE(Documented.count("PATHFUZZ_VM_ENGINE"));
+  for (const char *Retired : {"PATHFUZZ_VM_FASTPATH", "PATHFUZZ_VM_JIT"}) {
+    EXPECT_FALSE(Used.count(Retired)) << Retired;
+    EXPECT_FALSE(Documented.count(Retired)) << Retired;
+  }
 }
 
 } // namespace

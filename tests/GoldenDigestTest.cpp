@@ -22,6 +22,7 @@
 #include "strategy/Campaign.h"
 #include "support/Hashing.h"
 #include "targets/Targets.h"
+#include "telemetry/Export.h"
 
 #include <gtest/gtest.h>
 
@@ -277,5 +278,111 @@ INSTANTIATE_TEST_SUITE_P(All, GoldenDigest,
                                C = '_';
                            return N;
                          });
+
+//===----------------------------------------------------------------------===//
+// Driver-shape goldens
+//===----------------------------------------------------------------------===//
+//
+// The result digests above do not see how a campaign is divided into
+// fuzzer instances: instance labels and offsets, the phase-start and cull
+// events with their argument bytes, per-instance metrics and samples, and
+// the number of checkpoints each schedule emits. This table pins those,
+// recorded from the per-kind drivers, on the reference interpreter with
+// selective execution off (the engine-local metric families then hold
+// nothing that differs between engines or runs).
+
+constexpr uint64_t TraceBudget = 6000;
+constexpr uint64_t TraceCheckpointInterval = 900;
+
+struct TraceGolden {
+  FuzzerKind Kind;
+  /// fnv1a(traceJsonl(*R.Trace)); 0 when telemetry is compiled out.
+  uint64_t TraceDigest;
+  uint64_t Checkpoints;
+};
+
+const TraceGolden TraceGoldens[] = {
+    {FuzzerKind::Pcguard, 0x41d47c719390da93ULL, 6},
+    {FuzzerKind::Path, 0x44a99a1c81f1f4fdULL, 6},
+    {FuzzerKind::Cull, 0x3fa3198eeebbf929ULL, 6},
+    {FuzzerKind::CullRandom, 0x7ae0d19ac993663dULL, 6},
+    {FuzzerKind::Opp, 0x40a5447bb4087e07ULL, 6},
+    {FuzzerKind::Afl, 0x5f2bedacfc59cbc9ULL, 6},
+    {FuzzerKind::PathAfl, 0x6c7a83366a175b38ULL, 6},
+    {FuzzerKind::Prescient, 0x7e4fb4a8893c8f33ULL, 6},
+};
+
+CampaignOptions tracedGoldenOpts(FuzzerKind Kind) {
+  CampaignOptions O;
+  O.Kind = Kind;
+  O.ExecBudget = TraceBudget;
+  O.Seed = 7;
+  O.CullRounds = 3;
+  O.VmMode = vm::VmExecMode::Interpreter;
+  O.Selective = vm::SelectiveMode::Off;
+  O.Trace.Enabled = true;
+  O.Trace.SampleInterval = 512;
+  return O;
+}
+
+class GoldenTrace : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(GoldenTrace, InstancesEventsAndCheckpointsUnchanged) {
+  const TraceGolden &Want = TraceGoldens[GetParam()];
+  const Subject &S = targets::allSubjects()[0];
+  BuildCache Cache;
+  std::shared_ptr<SubjectBuild> SB = Cache.get(S);
+  ASSERT_TRUE(SB->ok()) << SB->error();
+
+  CampaignOptions O = tracedGoldenOpts(Want.Kind);
+  std::vector<std::vector<uint8_t>> Checkpoints;
+  O.CheckpointInterval = TraceCheckpointInterval;
+  O.CheckpointSink = [&Checkpoints](const std::vector<uint8_t> &Blob) {
+    Checkpoints.push_back(Blob);
+  };
+  CampaignError Err;
+  CampaignResult R = runCampaign(*SB, O, &Err);
+  ASSERT_FALSE(Err.Failed) << Err.Message;
+
+  uint64_t Digest = 0;
+  if (telemetry::Compiled) {
+    ASSERT_NE(R.Trace, nullptr);
+    Digest = fnv1a(telemetry::traceJsonl(*R.Trace));
+  }
+  char Row[64];
+  std::snprintf(Row, sizeof(Row), "0x%016" PRIx64 "ULL, %zu", Digest,
+                Checkpoints.size());
+  EXPECT_EQ(Checkpoints.size(), Want.Checkpoints)
+      << fuzzerKindName(Want.Kind) << "; computed row:\n" << Row;
+  if (telemetry::Compiled) {
+    EXPECT_EQ(Digest, Want.TraceDigest)
+        << fuzzerKindName(Want.Kind) << "; computed row:\n" << Row;
+  }
+
+  // A traced resume from any checkpoint, at the same checkpoint cadence,
+  // exports the same trace.
+  CampaignOptions Plain = tracedGoldenOpts(Want.Kind);
+  Plain.CheckpointInterval = TraceCheckpointInterval;
+  Plain.CheckpointSink = [](const std::vector<uint8_t> &) {};
+  for (size_t I = 0; I < Checkpoints.size(); ++I) {
+    SCOPED_TRACE("checkpoint " + std::to_string(I));
+    CampaignError RErr;
+    CampaignResult Resumed = resumeCampaign(*SB, Plain, Checkpoints[I], &RErr);
+    ASSERT_FALSE(RErr.Failed) << RErr.Message;
+    EXPECT_EQ(serializeCampaignResult(Resumed), serializeCampaignResult(R));
+    if (telemetry::Compiled) {
+      ASSERT_NE(Resumed.Trace, nullptr);
+      // Compared by digest: a mismatch would otherwise print megabytes.
+      EXPECT_EQ(fnv1a(telemetry::traceJsonl(*Resumed.Trace)), Digest);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllKinds, GoldenTrace,
+    ::testing::Range<size_t>(0, sizeof(TraceGoldens) / sizeof(TraceGoldens[0])),
+    [](const ::testing::TestParamInfo<size_t> &Info) {
+      return std::string(fuzzerKindName(TraceGoldens[Info.param].Kind));
+    });
 
 } // namespace

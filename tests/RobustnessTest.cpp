@@ -17,10 +17,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "fuzz/Snapshot.h"
 #include "strategy/Batch.h"
 #include "strategy/BuildCache.h"
 #include "strategy/Campaign.h"
 #include "support/FaultInjection.h"
+
+#include "TestUtil.h"
 
 #include <gtest/gtest.h>
 
@@ -99,6 +102,16 @@ CampaignOptions baseOpts(FuzzerKind Kind, uint64_t Budget = 6000) {
 // Checkpoint/resume
 //===----------------------------------------------------------------------===//
 
+// Every kind shares one checkpoint frame, so every kind is an input.
+constexpr FuzzerKind AllKinds[] = {
+    FuzzerKind::Pcguard,    FuzzerKind::Path, FuzzerKind::Cull,
+    FuzzerKind::CullRandom, FuzzerKind::Opp,  FuzzerKind::Afl,
+    FuzzerKind::PathAfl,    FuzzerKind::Prescient};
+
+std::string kindName(const ::testing::TestParamInfo<FuzzerKind> &Info) {
+  return fuzzerKindName(Info.param);
+}
+
 class CheckpointResume : public ::testing::TestWithParam<FuzzerKind> {};
 
 TEST_P(CheckpointResume, ResumeFromEveryCheckpointIsByteIdentical) {
@@ -136,14 +149,7 @@ TEST_P(CheckpointResume, ResumeFromEveryCheckpointIsByteIdentical) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Drivers, CheckpointResume,
-                         ::testing::Values(FuzzerKind::Pcguard,
-                                           FuzzerKind::Cull,
-                                           FuzzerKind::CullRandom,
-                                           FuzzerKind::Opp,
-                                           FuzzerKind::PathAfl),
-                         [](const auto &Info) {
-                           return std::string(fuzzerKindName(Info.param));
-                         });
+                         ::testing::ValuesIn(AllKinds), kindName);
 
 TEST(CheckpointResumeEdge, RejectsCorruptAndMismatchedCheckpoints) {
   Subject S = smallSubject();
@@ -240,12 +246,145 @@ TEST_P(ResumeErrorPaths, CorruptBlobsFailCleanlyNeverPartially) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Drivers, ResumeErrorPaths,
-                         ::testing::Values(FuzzerKind::Pcguard,
-                                           FuzzerKind::Cull,
-                                           FuzzerKind::Opp),
-                         [](const auto &Info) {
-                           return std::string(fuzzerKindName(Info.param));
-                         });
+                         ::testing::ValuesIn(AllKinds), kindName);
+
+//===----------------------------------------------------------------------===//
+// Hand-built checkpoint frames
+//===----------------------------------------------------------------------===//
+//
+// The checksum only proves a payload is what some writer sealed. These
+// frames are sealed like real checkpoints but crafted: the decoder must
+// refuse what would break the campaign aggregate later (std::set_union
+// needs sorted edge lists) and name frames from before the phase list.
+
+/// The resume record layout: frame marker, options fingerprint, phase
+/// index, exec offset, completed phases' result, cull RNG state, campaign
+/// trace (absent here), live fuzzer snapshot.
+std::vector<uint8_t> sealRecord(const CampaignOptions &Opts, uint32_t Phase,
+                                const std::vector<uint8_t> &Partial,
+                                const std::vector<uint8_t> &FuzzBlob) {
+  fuzz::ByteWriter W;
+  W.u8(0x50);
+  writeOptionsFingerprint(W, Opts);
+  W.u32(Phase);
+  W.u64(0);
+  W.bytes(Partial.data(), Partial.size());
+  for (uint64_t S : {1, 2, 3, 4})
+    W.u64(S);
+  W.u8(0);
+  W.blob(FuzzBlob);
+  return fuzz::sealSnapshot(W.take());
+}
+
+void expectRefused(SubjectBuild &SB, const CampaignOptions &Opts,
+                   const std::vector<uint8_t> &Ckpt, const std::string &Why) {
+  CampaignError Err;
+  CampaignResult R = resumeCampaign(SB, Opts, Ckpt, &Err);
+  EXPECT_TRUE(Err.Failed);
+  EXPECT_FALSE(Err.Preempted);
+  EXPECT_NE(Err.Message.find(Why), std::string::npos) << Err.Message;
+  EXPECT_EQ(R.Execs, 0u);
+  EXPECT_TRUE(R.EdgeSet.empty());
+}
+
+TEST(CheckpointFrame, CraftedRecordsFailCleanly) {
+  Subject S = smallSubject();
+  CampaignOptions Opts = baseOpts(FuzzerKind::Cull);
+  BuildCache Cache;
+  std::shared_ptr<SubjectBuild> SB = Cache.get(S);
+  const std::vector<uint8_t> Blob =
+      test::freshSnapshot(*SB, instr::Feedback::Path, Opts);
+  CampaignResult Partial;
+  Partial.Kind = FuzzerKind::Cull;
+  Partial.EdgeSet = {2, 5, 9};
+
+  // Control: the well-formed record resumes round 1 to completion.
+  CampaignError Err;
+  CampaignResult R = resumeCampaign(
+      *SB, Opts, sealRecord(Opts, 1, serializeCampaignResult(Partial), Blob),
+      &Err);
+  ASSERT_FALSE(Err.Failed) << Err.Message;
+  EXPECT_TRUE(std::includes(R.EdgeSet.begin(), R.EdgeSet.end(),
+                            Partial.EdgeSet.begin(), Partial.EdgeSet.end()));
+
+  std::vector<uint8_t> BadKind = serializeCampaignResult(Partial);
+  BadKind[0] = static_cast<uint8_t>(FuzzerKind::Prescient) + 1;
+  expectRefused(*SB, Opts, sealRecord(Opts, 1, BadKind, Blob), "malformed");
+
+  CampaignResult OtherKind = Partial;
+  OtherKind.Kind = FuzzerKind::Opp;
+  expectRefused(*SB, Opts,
+                sealRecord(Opts, 1, serializeCampaignResult(OtherKind), Blob),
+                "another fuzzer kind");
+
+  for (std::vector<uint32_t> Edges :
+       {std::vector<uint32_t>{9, 5, 2}, std::vector<uint32_t>{2, 5, 5}}) {
+    CampaignResult Unsorted = Partial;
+    Unsorted.EdgeSet = Edges;
+    expectRefused(*SB, Opts,
+                  sealRecord(Opts, 1, serializeCampaignResult(Unsorted), Blob),
+                  "malformed");
+  }
+
+  // Three cull rounds are phases 0..2.
+  expectRefused(*SB, Opts,
+                sealRecord(Opts, 3, serializeCampaignResult(Partial), Blob),
+                "phase index out of range");
+}
+
+TEST(CheckpointFrame, StoredResultDecoderChecksKindAndEdgeOrder) {
+  CampaignResult R;
+  R.Kind = FuzzerKind::Prescient;
+  R.EdgeSet = {1, 4};
+  const std::vector<uint8_t> Good = serializeCampaignResult(R);
+  CampaignResult Back;
+  ASSERT_TRUE(deserializeCampaignResult(Good, Back));
+  EXPECT_EQ(serializeCampaignResult(Back), Good);
+
+  std::vector<uint8_t> BadKind = Good;
+  BadKind[0] = static_cast<uint8_t>(FuzzerKind::Prescient) + 1;
+  EXPECT_FALSE(deserializeCampaignResult(BadKind, Back));
+  for (std::vector<uint32_t> Edges :
+       {std::vector<uint32_t>{4, 1}, std::vector<uint32_t>{4, 4}}) {
+    R.EdgeSet = Edges;
+    EXPECT_FALSE(deserializeCampaignResult(serializeCampaignResult(R), Back));
+  }
+}
+
+// Frames written before the phase list: the options fingerprint first,
+// then the per-driver state. They must be refused by name, not misparsed.
+TEST(CheckpointFrame, LegacyDriverFramesAreRefusedByName) {
+  Subject S = smallSubject();
+  BuildCache Cache;
+  std::shared_ptr<SubjectBuild> SB = Cache.get(S);
+  for (FuzzerKind Kind :
+       {FuzzerKind::Pcguard, FuzzerKind::Cull, FuzzerKind::Opp}) {
+    SCOPED_TRACE(fuzzerKindName(Kind));
+    CampaignOptions Opts = baseOpts(Kind);
+    instr::Feedback Mode = Kind == FuzzerKind::Cull
+                               ? instr::Feedback::Path
+                               : instr::Feedback::EdgePrecise;
+    const std::vector<uint8_t> Blob = test::freshSnapshot(*SB, Mode, Opts);
+    fuzz::ByteWriter W;
+    writeOptionsFingerprint(W, Opts);
+    if (Kind == FuzzerKind::Cull) {
+      W.u32(0); // round
+      W.u64(0); // exec offset
+      CampaignResult Partial;
+      Partial.Kind = Kind;
+      std::vector<uint8_t> P = serializeCampaignResult(Partial);
+      W.bytes(P.data(), P.size());
+      for (uint64_t St : {1, 2, 3, 4})
+        W.u64(St);
+      W.u8(0); // no trace
+    } else if (Kind == FuzzerKind::Opp) {
+      W.u8(1); // phase
+    }
+    W.blob(Blob);
+    expectRefused(*SB, Opts, fuzz::sealSnapshot(W.take()),
+                  "checkpoint predates the phase-list checkpoint frame");
+  }
+}
 
 //===----------------------------------------------------------------------===//
 // Structured campaign errors

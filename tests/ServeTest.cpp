@@ -372,12 +372,18 @@ TEST(ServeScheduler, ByteIdenticalToDirectRun) {
   ASSERT_TRUE(Sched.results(Id, Blob, Err)) << Err;
   EXPECT_EQ(Blob, Ref);
 
-  // The trajectory CSVs are served from the same trace the exporters use.
+  // The trajectory CSVs are served from the same trace the exporters use;
+  // a build without telemetry says so instead.
   std::string Csv;
-  ASSERT_TRUE(Sched.seriesCsv(Id, false, Csv, Err)) << Err;
-  EXPECT_EQ(Csv.compare(0, 31, "subject,fuzzer,seed,execs,queue"), 0) << Csv;
-  ASSERT_TRUE(Sched.seriesCsv(Id, true, Csv, Err)) << Err;
-  EXPECT_EQ(Csv.compare(0, 5, "subje"), 0) << Csv;
+  if (telemetry::Compiled) {
+    ASSERT_TRUE(Sched.seriesCsv(Id, false, Csv, Err)) << Err;
+    EXPECT_EQ(Csv.compare(0, 31, "subject,fuzzer,seed,execs,queue"), 0) << Csv;
+    ASSERT_TRUE(Sched.seriesCsv(Id, true, Csv, Err)) << Err;
+    EXPECT_EQ(Csv.compare(0, 5, "subje"), 0) << Csv;
+  } else {
+    EXPECT_FALSE(Sched.seriesCsv(Id, false, Csv, Err));
+    EXPECT_NE(Err.find("telemetry compiled out"), std::string::npos) << Err;
+  }
 
   // The store on disk is Done and replays the same bytes.
   std::vector<strategy::StoreScanEntry> Scan = strategy::scanStoreRoot(Root);
@@ -730,20 +736,30 @@ TEST_F(ServeServerTest, EndToEndSubmitThroughSeries) {
   ASSERT_TRUE(hexDecode(Hex, Blob));
   EXPECT_EQ(Blob, Ref);
 
-  // series: one header line, then exactly `bytes` bytes of CSV.
-  ASSERT_TRUE(ask(C,
-                  "{\"verb\":\"series\",\"id\":\"" + Id +
-                      "\",\"series\":\"queue\"}",
-                  Reply));
-  uint64_t Rows = 0, Bytes = 0;
-  ASSERT_TRUE(telemetry::jsonU64(Reply, "rows", Rows));
-  ASSERT_TRUE(telemetry::jsonU64(Reply, "bytes", Bytes));
-  EXPECT_GE(Rows, 2u); // CSV header + at least one sample
-  std::string Csv;
-  ASSERT_TRUE(C.recvBytes(Bytes, Csv, &Err)) << Err;
-  EXPECT_EQ(Csv.compare(0, 31, "subject,fuzzer,seed,execs,queue"), 0) << Csv;
-  EXPECT_EQ(static_cast<uint64_t>(std::count(Csv.begin(), Csv.end(), '\n')),
-            Rows);
+  // series: one header line, then exactly `bytes` bytes of CSV (a clean
+  // error when the build has no telemetry).
+  const bool SeriesOk = ask(C,
+                            "{\"verb\":\"series\",\"id\":\"" + Id +
+                                "\",\"series\":\"queue\"}",
+                            Reply);
+  if (telemetry::Compiled) {
+    ASSERT_TRUE(SeriesOk) << Reply;
+    uint64_t Rows = 0, Bytes = 0;
+    ASSERT_TRUE(telemetry::jsonU64(Reply, "rows", Rows));
+    ASSERT_TRUE(telemetry::jsonU64(Reply, "bytes", Bytes));
+    EXPECT_GE(Rows, 2u); // CSV header + at least one sample
+    std::string Csv;
+    ASSERT_TRUE(C.recvBytes(Bytes, Csv, &Err)) << Err;
+    EXPECT_EQ(Csv.compare(0, 31, "subject,fuzzer,seed,execs,queue"), 0)
+        << Csv;
+    EXPECT_EQ(static_cast<uint64_t>(std::count(Csv.begin(), Csv.end(), '\n')),
+              Rows);
+  } else {
+    EXPECT_FALSE(SeriesOk);
+    std::string Error;
+    ASSERT_TRUE(telemetry::jsonStr(Reply, "error", Error)) << Reply;
+    EXPECT_NE(Error.find("telemetry compiled out"), std::string::npos);
+  }
 
   // list: header with the count, then one status line per campaign.
   ASSERT_TRUE(ask(C, "{\"verb\":\"list\"}", Reply));

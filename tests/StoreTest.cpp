@@ -23,10 +23,13 @@
 
 #include "fuzz/Snapshot.h"
 #include "strategy/Batch.h"
+#include "strategy/BuildCache.h"
 #include "strategy/Campaign.h"
 #include "strategy/Store.h"
 #include "support/FaultInjection.h"
 #include "support/Io.h"
+
+#include "TestUtil.h"
 
 #include <gtest/gtest.h>
 
@@ -494,6 +497,43 @@ TEST(StoredCampaign, SealedGarbageIsQuarantinedByTheDriver) {
     ASSERT_NE(Rec, nullptr);
     EXPECT_EQ(counterOf(Rec->Metrics, "store.checkpoint.quarantined"), 1u);
   }
+}
+
+TEST(StoredCampaign, LegacyCheckpointIsQuarantinedAndRerun) {
+  // A store written before the phase-list checkpoint frame: its newest
+  // (only) checkpoint is a plain-driver frame, the options fingerprint
+  // followed by the fuzzer snapshot. The driver refuses it, the store
+  // quarantines it, and the campaign reruns to the uninterrupted result.
+  Subject S = smallSubject();
+  CampaignOptions Plain = baseOpts(FuzzerKind::Pcguard);
+  std::vector<uint8_t> Ref = serializeCampaignResult(runCampaign(S, Plain));
+
+  SubjectBuild SB(S);
+  fuzz::ByteWriter W;
+  writeOptionsFingerprint(W, Plain);
+  W.blob(test::freshSnapshot(SB, instr::Feedback::EdgePrecise, Plain));
+  const std::vector<uint8_t> Legacy = fuzz::sealSnapshot(W.take());
+  CampaignError ResumeErr;
+  resumeCampaign(SB, Plain, Legacy, &ResumeErr);
+  ASSERT_TRUE(ResumeErr.Failed);
+  EXPECT_NE(ResumeErr.Message.find("predates"), std::string::npos)
+      << ResumeErr.Message;
+
+  TempDir Dir;
+  std::string Err;
+  {
+    auto Store = CampaignStore::open(Dir.sub("c"), "small", Plain, &Err);
+    ASSERT_TRUE(Store) << Err;
+    ASSERT_TRUE(Store->writeCheckpoint(Legacy, &Err)) << Err;
+  }
+  CampaignOptions Stored = Plain;
+  Stored.StoreDir = Dir.sub("c");
+  Stored.CheckpointInterval = 1000;
+  CampaignError CErr;
+  CampaignResult R = runCampaign(S, Stored, &CErr);
+  ASSERT_FALSE(CErr.Failed) << CErr.Message;
+  EXPECT_EQ(serializeCampaignResult(R), Ref);
+  EXPECT_EQ(filesIn(Dir.sub("c") + "/quarantine"), 1u);
 }
 
 TEST(StoredCampaign, ScanClassifiesEveryState) {

@@ -92,6 +92,22 @@ TEST(Campaign, CullChargesCullingCostToBudget) {
   EXPECT_LT(R.Execs, 4000u + 2000u);
 }
 
+TEST(Campaign, OppPhase2GrowthStartsAtNominalHalfBudget) {
+  // Phase 1 runs its seeds before its budget applies, so with more seeds
+  // than half the budget it overruns. Phase 2's queue growth is still
+  // plotted from the nominal half budget, not from where phase 1 stopped.
+  Subject S = smallSubject();
+  for (char C = 'a'; C < 'f'; ++C)
+    S.Seeds.push_back({static_cast<uint8_t>(C), '.', 'z'});
+  CampaignOptions Opts = smallOpts(FuzzerKind::Opp, 4);
+  Opts.GrowthSampleInterval = 1;
+  CampaignResult R = runCampaign(S, Opts);
+  EXPECT_GE(R.Execs, S.Seeds.size() + Opts.ExecBudget / 2);
+  ASSERT_FALSE(R.QueueGrowth.empty());
+  // Sampled every exec, phase 2's first sample is its first exec.
+  EXPECT_EQ(R.QueueGrowth.front().first, Opts.ExecBudget / 2 + 1);
+}
+
 TEST(Campaign, UniqueCrashRecordsMatchHashes) {
   Subject S = smallSubject();
   CampaignResult R = runCampaign(S, smallOpts(FuzzerKind::Pcguard, 20000));

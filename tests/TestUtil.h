@@ -8,8 +8,10 @@
 #define PATHFUZZ_TESTS_TESTUTIL_H
 
 #include "cov/CoverageMap.h"
+#include "fuzz/Fuzzer.h"
 #include "mir/Builder.h"
 #include "mir/Mir.h"
+#include "strategy/BuildCache.h"
 #include "support/Rng.h"
 #include "vm/Vm.h"
 
@@ -137,6 +139,21 @@ lineFlagMismatch(vm::Vm &Machine,
              std::to_string(Nonzero.size()) + " lines nonzero";
   }
   return "";
+}
+
+/// Fuzzer::snapshot() of a fresh instance on SB's Mode build with the
+/// subject's seeds added: the state a campaign phase starts from. Tests
+/// that build checkpoint frames by hand wrap it.
+inline std::vector<uint8_t>
+freshSnapshot(strategy::SubjectBuild &SB, instr::Feedback Mode,
+              const strategy::CampaignOptions &Opts) {
+  const strategy::InstrumentedBuild &B = SB.instrumented(Mode, Opts);
+  fuzz::FuzzerOptions FO;
+  FO.MapSizeLog2 = Opts.MapSizeLog2;
+  fuzz::Fuzzer F(B.Mod, B.Report, SB.shadow(), FO);
+  for (const fuzz::Input &Seed : SB.subject().Seeds)
+    F.addSeed(Seed);
+  return F.snapshot();
 }
 
 } // namespace test

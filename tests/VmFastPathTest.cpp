@@ -273,6 +273,8 @@ TEST(VmFastPath, CampaignIdentityAndTelemetry) {
     CampaignResult RF = runCampaign(S, Fast);
     EXPECT_EQ(serializeCampaignResult(RI), serializeCampaignResult(RF))
         << fuzzerKindName(Kind);
+    if (!telemetry::Compiled)
+      continue; // no recorder to compare
 
     ASSERT_NE(RI.Trace, nullptr);
     ASSERT_NE(RF.Trace, nullptr);
@@ -353,18 +355,25 @@ fn main() {
 }
 
 /// The engine-selection knob: CampaignOptions::VmMode forces an engine,
-/// Auto follows PATHFUZZ_VM_FASTPATH (default on).
+/// Auto follows PATHFUZZ_VM_ENGINE (default jit, which rides the fast
+/// path; anything unrecognized means the default).
 TEST(VmFastPath, ModeResolution) {
   EXPECT_FALSE(vm::fastPathEnabled(vm::VmExecMode::Interpreter));
   EXPECT_TRUE(vm::fastPathEnabled(vm::VmExecMode::FastPath));
 
-  unsetenv("PATHFUZZ_VM_FASTPATH");
+  unsetenv("PATHFUZZ_VM_ENGINE");
   EXPECT_TRUE(vm::fastPathEnabled(vm::VmExecMode::Auto));
-  setenv("PATHFUZZ_VM_FASTPATH", "0", 1);
+  setenv("PATHFUZZ_VM_ENGINE", "interp", 1);
   EXPECT_FALSE(vm::fastPathEnabled(vm::VmExecMode::Auto));
-  setenv("PATHFUZZ_VM_FASTPATH", "1", 1);
+  // A forced mode ignores the knob.
+  EXPECT_TRUE(vm::fastPathEnabled(vm::VmExecMode::FastPath));
+  setenv("PATHFUZZ_VM_ENGINE", "fastpath", 1);
   EXPECT_TRUE(vm::fastPathEnabled(vm::VmExecMode::Auto));
-  unsetenv("PATHFUZZ_VM_FASTPATH");
+  setenv("PATHFUZZ_VM_ENGINE", "jit", 1);
+  EXPECT_TRUE(vm::fastPathEnabled(vm::VmExecMode::Auto));
+  setenv("PATHFUZZ_VM_ENGINE", "bogus", 1);
+  EXPECT_TRUE(vm::fastPathEnabled(vm::VmExecMode::Auto));
+  unsetenv("PATHFUZZ_VM_ENGINE");
 
   // Informational, but must be callable and stable.
   EXPECT_EQ(vm::threadedDispatch(), vm::threadedDispatch());
