@@ -13,8 +13,8 @@
 //  - paired prescient / pcguard timing legs on a shared BuildCache,
 //    best-of-N execs/sec per subject and the median per-pair overhead
 //    ratio (the price of frontierScore() per energy assignment);
-//  - the determinism contract: two identical prescient campaigns are
-//    byte-identical under serializeCampaignResult;
+//  - the determinism contract: every rep of each leg is byte-identical
+//    under serializeCampaignResult to that leg's first rep;
 //  - the ReachabilitySummary cache counters — one build per subject,
 //    every further trial a hit;
 //  - and writes the whole record to BENCH_prescient.json
@@ -29,10 +29,7 @@
 #include "BenchCommon.h"
 
 #include "strategy/BuildCache.h"
-#include "telemetry/Export.h"
 
-#include <algorithm>
-#include <chrono>
 #include <cinttypes>
 
 using namespace pathfuzz;
@@ -41,13 +38,6 @@ using namespace pathfuzz::strategy;
 
 namespace {
 
-uint64_t nowMicros() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 struct SubjectMeasurement {
   std::string Name;
   size_t BugsPcguard = 0;
@@ -55,60 +45,14 @@ struct SubjectMeasurement {
   size_t EdgesPcguard = 0;
   size_t EdgesPrescient = 0;
   double QueuePrescient = 0.0;
-  double PcguardEps = 0.0;
-  double PrescientEps = 0.0;
-  double OverheadMedian = 0.0; // prescient time / pcguard time
-  bool Deterministic = false;
-};
+  std::vector<LegStats> Legs; ///< pcguard (leg 0), prescient
 
-/// Paired timing legs on a shared build, alternating leg order per rep
-/// the way selective_throughput does, plus the byte-identity check on
-/// two prescient runs.
-void timeSubject(SubjectMeasurement &M, SubjectBuild &SB,
-                 const CampaignOptions &Base, uint64_t Execs, uint32_t Reps) {
-  CampaignOptions Pc = Base;
-  Pc.Kind = FuzzerKind::Pcguard;
-  Pc.Trace = telemetry::TraceConfig(); // timed legs run untraced
-  CampaignOptions Pre = Pc;
-  Pre.Kind = FuzzerKind::Prescient;
-
-  // Warm the build (image + reachability summary) before timing.
-  (void)runCampaign(SB, Pre);
-
-  uint64_t PcMin = ~0ull, PreMin = ~0ull;
-  std::vector<double> PairOverhead;
-  std::vector<uint8_t> FirstPrescient;
-  M.Deterministic = true;
-  for (uint32_t Rep = 0; Rep < Reps; ++Rep) {
-    const bool PreFirst = (Rep & 1) != 0;
-    uint64_t UPc = 0, UPre = 0;
-    for (int Leg = 0; Leg < 2; ++Leg) {
-      const bool RunPre = PreFirst == (Leg == 0);
-      uint64_t T0 = nowMicros();
-      CampaignResult R = runCampaign(SB, RunPre ? Pre : Pc);
-      uint64_t Dt = nowMicros() - T0;
-      (RunPre ? UPre : UPc) = Dt;
-      if (RunPre) {
-        std::vector<uint8_t> Bytes = serializeCampaignResult(R);
-        if (FirstPrescient.empty())
-          FirstPrescient = std::move(Bytes);
-        else
-          M.Deterministic &= Bytes == FirstPrescient;
-      }
-    }
-    PcMin = std::min(PcMin, UPc);
-    PreMin = std::min(PreMin, UPre);
-    if (UPc)
-      PairOverhead.push_back(double(UPre) / double(UPc));
+  /// Prescient time / pcguard time, median of the paired reps.
+  double overhead() const { return Legs[1].TimeRatio; }
+  bool deterministic() const {
+    return Legs[0].Deterministic && Legs[1].Deterministic;
   }
-  std::sort(PairOverhead.begin(), PairOverhead.end());
-  M.OverheadMedian =
-      PairOverhead.empty() ? 0.0 : PairOverhead[PairOverhead.size() / 2];
-  if (PcMin)
-    M.PcguardEps = double(Execs) * 1e6 / double(PcMin);
-  if (PreMin)
-    M.PrescientEps = double(Execs) * 1e6 / double(PreMin);
-}
+};
 
 } // namespace
 
@@ -122,13 +66,18 @@ int main() {
   Evaluation E = runEvaluation(C, Kinds);
 
   const uint32_t Reps = std::max<uint32_t>(3, C.Runs);
-  CampaignOptions Base = C.campaignOptions();
+  CampaignOptions Pc = C.campaignOptions();
+  Pc.Kind = FuzzerKind::Pcguard;
+  Pc.Trace = telemetry::TraceConfig(); // timed legs run untraced
+  CampaignOptions Pre = Pc;
+  Pre.Kind = FuzzerKind::Prescient;
 
   // One shared cache for the timing legs: the reachability counters at
   // the end prove every prescient trial reused one summary per subject.
   BuildCache Cache;
   std::vector<SubjectMeasurement> Subjects;
   bool Deterministic = true;
+  std::vector<double> Overheads;
   for (const Subject &S : C.Subjects) {
     SubjectMeasurement M;
     M.Name = S.Name;
@@ -140,18 +89,16 @@ int main() {
     M.EdgesPrescient = RPre.cumulativeEdges().size();
     M.QueuePrescient = RPre.medianQueueSize();
 
+    // Paired timing legs on a shared build; the two kinds fuzz
+    // differently, so only each leg's own reps must agree byte for byte.
     std::shared_ptr<SubjectBuild> SB = Cache.get(S);
-    timeSubject(M, *SB, Base, C.Execs, Reps);
-    Deterministic &= M.Deterministic;
+    (void)runCampaign(*SB, Pre); // warm image + reachability summary
+    M.Legs = timeLegs({campaignLeg(*SB, Pc), campaignLeg(*SB, Pre)}, Reps);
+    Deterministic &= M.deterministic();
+    Overheads.push_back(M.overhead());
     Subjects.push_back(std::move(M));
   }
-
-  std::vector<double> Overheads;
-  for (const SubjectMeasurement &M : Subjects)
-    Overheads.push_back(M.OverheadMedian);
-  std::sort(Overheads.begin(), Overheads.end());
-  const double OverheadMedian =
-      Overheads.empty() ? 0.0 : Overheads[Overheads.size() / 2];
+  const double OverheadMedian = median(Overheads);
 
   std::printf("pcguard vs prescient (%" PRIu64 " execs, %u paired reps "
               "each):\n",
@@ -163,7 +110,8 @@ int main() {
     std::printf("  %-10s %5zu %5zu %7zu %7zu %7.0f %12.0f %12.0f %8.2fx\n",
                 M.Name.c_str(), M.BugsPcguard, M.BugsPrescient,
                 M.EdgesPcguard, M.EdgesPrescient, M.QueuePrescient,
-                M.PcguardEps, M.PrescientEps, M.OverheadMedian);
+                M.Legs[0].perSec(C.Execs), M.Legs[1].perSec(C.Execs),
+                M.overhead());
   std::printf("  median scheduling overhead across subjects: %.2fx\n",
               OverheadMedian);
   std::printf("reachability summaries built %zu / cache hits %zu\n",
@@ -171,45 +119,29 @@ int main() {
   std::printf("prescient campaigns deterministic: %s\n",
               Deterministic ? "yes" : "NO");
 
-  std::string Doc = "{\"name\":\"prescient_throughput\",";
-  {
-    char Buf[512];
-    Doc += "\"subjects\":[";
-    for (size_t I = 0; I < Subjects.size(); ++I) {
-      const SubjectMeasurement &M = Subjects[I];
-      std::snprintf(
-          Buf, sizeof(Buf),
-          "%s{\"name\":\"%s\",\"bugs_pcguard\":%zu,\"bugs_prescient\":%zu,"
-          "\"edges_pcguard\":%zu,\"edges_prescient\":%zu,"
-          "\"queue_prescient\":%.1f,\"pcguard_execs_per_sec\":%.1f,"
-          "\"prescient_execs_per_sec\":%.1f,\"overhead_median\":%.3f,"
-          "\"deterministic\":%s}",
-          I ? "," : "", M.Name.c_str(), M.BugsPcguard, M.BugsPrescient,
-          M.EdgesPcguard, M.EdgesPrescient, M.QueuePrescient, M.PcguardEps,
-          M.PrescientEps, M.OverheadMedian,
-          M.Deterministic ? "true" : "false");
-      Doc += Buf;
-    }
-    Doc += "],";
-    std::snprintf(Buf, sizeof(Buf),
-                  "\"campaign_execs\":%" PRIu64 ",\"reps\":%u,"
-                  "\"overhead_median\":%.3f,"
-                  "\"reachability_builds\":%zu,\"reachability_hits\":%zu,"
-                  "\"deterministic\":%s}\n",
-                  C.Execs, Reps, OverheadMedian,
-                  Cache.reachabilitySummaries(),
-                  Cache.reachabilityCacheHits(),
-                  Deterministic ? "true" : "false");
-    Doc += Buf;
-  }
-
-  std::string OutPath = envStr("PATHFUZZ_BENCH_OUT", "BENCH_prescient.json");
-  std::string Err;
-  if (!telemetry::exportFile(OutPath, Doc, &Err)) {
-    std::fprintf(stderr, "warning: bench record export failed: %s\n",
-                 Err.c_str());
-    return Deterministic ? 0 : 1;
-  }
-  std::printf("\nwrote %s\n", OutPath.c_str());
-  return Deterministic ? 0 : 1;
+  std::vector<std::string> Rows;
+  for (const SubjectMeasurement &M : Subjects)
+    Rows.push_back(
+        JsonFields()
+            .str("name", M.Name)
+            .num("bugs_pcguard", M.BugsPcguard)
+            .num("bugs_prescient", M.BugsPrescient)
+            .num("edges_pcguard", M.EdgesPcguard)
+            .num("edges_prescient", M.EdgesPrescient)
+            .num("queue_prescient", M.QueuePrescient, 1)
+            .num("pcguard_execs_per_sec", M.Legs[0].perSec(C.Execs), 1)
+            .num("prescient_execs_per_sec", M.Legs[1].perSec(C.Execs), 1)
+            .num("overhead_median", M.overhead())
+            .flag("deterministic", M.deterministic())
+            .object());
+  JsonFields F;
+  F.raw("subjects", jsonArray(Rows))
+      .num("campaign_execs", C.Execs)
+      .num("reps", Reps)
+      .num("overhead_median", OverheadMedian)
+      .num("reachability_builds", Cache.reachabilitySummaries())
+      .num("reachability_hits", Cache.reachabilityCacheHits())
+      .flag("deterministic", Deterministic);
+  return writeRecord("prescient_throughput", "BENCH_prescient.json", F,
+                     Deterministic);
 }

@@ -25,16 +25,9 @@
 #include "BenchCommon.h"
 
 #include "strategy/BuildCache.h"
-#include "telemetry/Export.h"
-#include "telemetry/Report.h"
 #include "vm/Image.h"
 
-#include <algorithm>
-#include <chrono>
 #include <cinttypes>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 
 using namespace pathfuzz;
 using namespace pathfuzz::bench;
@@ -42,61 +35,18 @@ using namespace pathfuzz::strategy;
 
 namespace {
 
-uint64_t nowMicros() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-/// The example subjects under examples/minilang/ (PATHFUZZ_EXAMPLES_DIR
-/// overrides for out-of-tree runs), seeded the same way vm_throughput
-/// seeds them so the two records measure comparable workloads.
-std::vector<Subject> loadExampleSubjects() {
-#ifdef PATHFUZZ_SOURCE_DIR
-  const char *Default = PATHFUZZ_SOURCE_DIR "/examples/minilang";
-#else
-  const char *Default = "examples/minilang";
-#endif
-  std::string Dir = envStr("PATHFUZZ_EXAMPLES_DIR", Default);
-  std::vector<Subject> Out;
-  for (const char *Name : {"sum", "lookup", "checksum", "tokens", "rle"}) {
-    std::ifstream F(Dir + "/" + Name + ".ml");
-    if (!F)
-      continue;
-    std::ostringstream SS;
-    SS << F.rdbuf();
-    Subject S;
-    S.Name = Name;
-    S.Source = SS.str();
-    if (std::strcmp(Name, "lookup") == 0) {
-      S.Seeds.push_back({'a', 'b', 'c'});
-    } else {
-      fuzz::Input In(1024);
-      Rng R(7);
-      for (uint8_t &B : In)
-        B = static_cast<uint8_t>(R.below(256));
-      S.Seeds.push_back(std::move(In));
-    }
-    Out.push_back(std::move(S));
-  }
-  return Out;
-}
-
 struct SubjectMeasurement {
   std::string Name;
-  double OffEps = 0.0;
-  double OnEps = 0.0;
-  double SpeedupBest = 0.0;
-  double SpeedupMedian = 0.0;
+  std::vector<LegStats> Legs; ///< selective off (leg 0), on
   uint64_t Skipped = 0;
   uint64_t Replays = 0;
   uint64_t ReplayMismatch = 0;
-  bool Identical = false;
+
+  bool identical() const { return Legs[0].identical() && Legs[1].identical(); }
 };
 
 SubjectMeasurement measureSubject(const Subject &S, const CampaignOptions &Base,
-                                  uint64_t Execs, uint32_t Reps) {
+                                  uint32_t Reps) {
   SubjectMeasurement M;
   M.Name = S.Name;
 
@@ -112,36 +62,7 @@ SubjectMeasurement measureSubject(const Subject &S, const CampaignOptions &Base,
 
   // Warm both builds (full + cheap image) before timing anything.
   (void)runCampaign(*SB, On);
-
-  uint64_t OffMin = ~0ull, OnMin = ~0ull;
-  std::vector<double> PairSpeedup;
-  M.Identical = true;
-  for (uint32_t Rep = 0; Rep < Reps; ++Rep) {
-    const bool OnFirst = (Rep & 1) != 0;
-    uint64_t UOff = 0, UOn = 0;
-    std::vector<uint8_t> BytesOff, BytesOn;
-    for (int Leg = 0; Leg < 2; ++Leg) {
-      const bool RunOn = OnFirst == (Leg == 0);
-      uint64_t T0 = nowMicros();
-      CampaignResult R = runCampaign(*SB, RunOn ? On : Off);
-      uint64_t Dt = nowMicros() - T0;
-      (RunOn ? UOn : UOff) = Dt;
-      (RunOn ? BytesOn : BytesOff) = serializeCampaignResult(R);
-    }
-    OffMin = std::min(OffMin, UOff);
-    OnMin = std::min(OnMin, UOn);
-    if (UOn)
-      PairSpeedup.push_back(double(UOff) / double(UOn));
-    M.Identical &= BytesOff == BytesOn;
-  }
-  std::sort(PairSpeedup.begin(), PairSpeedup.end());
-  M.SpeedupMedian =
-      PairSpeedup.empty() ? 0.0 : PairSpeedup[PairSpeedup.size() / 2];
-  M.SpeedupBest = OnMin ? double(OffMin) / double(OnMin) : 0.0;
-  if (OffMin)
-    M.OffEps = double(Execs) * 1e6 / double(OffMin);
-  if (OnMin)
-    M.OnEps = double(Execs) * 1e6 / double(OnMin);
+  M.Legs = timeLegs({campaignLeg(*SB, Off), campaignLeg(*SB, On)}, Reps);
 
   // One traced selective campaign for the vm.selective.* counters.
   CampaignOptions Traced = On;
@@ -174,18 +95,14 @@ int main() {
   std::vector<SubjectMeasurement> Subjects;
   bool Identical = true;
   bool MismatchFree = true;
-  for (const Subject &S : Examples) {
-    Subjects.push_back(measureSubject(S, Base, C.Execs, Reps));
-    Identical &= Subjects.back().Identical;
-    MismatchFree &= Subjects.back().ReplayMismatch == 0;
-  }
-
   std::vector<double> Medians;
-  for (const SubjectMeasurement &M : Subjects)
-    Medians.push_back(M.SpeedupMedian);
-  std::sort(Medians.begin(), Medians.end());
-  const double CampaignSpeedupMedian =
-      Medians.empty() ? 0.0 : Medians[Medians.size() / 2];
+  for (const Subject &S : Examples) {
+    Subjects.push_back(measureSubject(S, Base, Reps));
+    Identical &= Subjects.back().identical();
+    MismatchFree &= Subjects.back().ReplayMismatch == 0;
+    Medians.push_back(Subjects.back().Legs[1].speedup());
+  }
+  const double CampaignSpeedupMedian = median(Medians);
 
   std::printf("example-subject campaigns (%" PRIu64 " execs, %u paired "
               "reps each):\n",
@@ -196,49 +113,34 @@ int main() {
   for (const SubjectMeasurement &M : Subjects)
     std::printf("  %-9s %12.0f %12.0f %7.2fx %7.2fx %10" PRIu64 " %9" PRIu64
                 " %9" PRIu64 "\n",
-                M.Name.c_str(), M.OffEps, M.OnEps, M.SpeedupBest,
-                M.SpeedupMedian, M.Skipped, M.Replays, M.ReplayMismatch);
+                M.Name.c_str(), M.Legs[0].perSec(C.Execs),
+                M.Legs[1].perSec(C.Execs), M.Legs[1].bestSpeedup(M.Legs[0]),
+                M.Legs[1].speedup(), M.Skipped, M.Replays, M.ReplayMismatch);
   std::printf("  median campaign speedup across example subjects: %.2fx\n",
               CampaignSpeedupMedian);
   std::printf("selective == always-instrumented results: %s\n",
               Identical ? "yes" : "NO");
   std::printf("replay mismatches: %s\n", MismatchFree ? "none" : "PRESENT");
 
-  std::string Doc = "{\"name\":\"selective_throughput\",";
-  {
-    char Buf[512];
-    Doc += "\"subjects\":[";
-    for (size_t I = 0; I < Subjects.size(); ++I) {
-      const SubjectMeasurement &M = Subjects[I];
-      std::snprintf(
-          Buf, sizeof(Buf),
-          "%s{\"name\":\"%s\",\"off_execs_per_sec\":%.1f,"
-          "\"on_execs_per_sec\":%.1f,\"speedup_best\":%.3f,"
-          "\"speedup_median\":%.3f,\"skipped\":%" PRIu64
-          ",\"replays\":%" PRIu64 ",\"replay_mismatch\":%" PRIu64
-          ",\"identical\":%s}",
-          I ? "," : "", M.Name.c_str(), M.OffEps, M.OnEps, M.SpeedupBest,
-          M.SpeedupMedian, M.Skipped, M.Replays, M.ReplayMismatch,
-          M.Identical ? "true" : "false");
-      Doc += Buf;
-    }
-    Doc += "],";
-    std::snprintf(Buf, sizeof(Buf),
-                  "\"campaign_execs\":%" PRIu64 ",\"reps\":%u,"
-                  "\"campaign_speedup_median\":%.3f,"
-                  "\"results_identical\":%s}\n",
-                  C.Execs, Reps, CampaignSpeedupMedian,
-                  Identical && MismatchFree ? "true" : "false");
-    Doc += Buf;
-  }
-
-  std::string OutPath = envStr("PATHFUZZ_BENCH_OUT", "BENCH_selective.json");
-  std::string Err;
-  if (!telemetry::exportFile(OutPath, Doc, &Err)) {
-    std::fprintf(stderr, "warning: bench record export failed: %s\n",
-                 Err.c_str());
-    return Identical && MismatchFree ? 0 : 1;
-  }
-  std::printf("\nwrote %s\n", OutPath.c_str());
-  return Identical && MismatchFree ? 0 : 1;
+  std::vector<std::string> Rows;
+  for (const SubjectMeasurement &M : Subjects)
+    Rows.push_back(JsonFields()
+                       .str("name", M.Name)
+                       .num("off_execs_per_sec", M.Legs[0].perSec(C.Execs), 1)
+                       .num("on_execs_per_sec", M.Legs[1].perSec(C.Execs), 1)
+                       .num("speedup_best", M.Legs[1].bestSpeedup(M.Legs[0]))
+                       .num("speedup_median", M.Legs[1].speedup())
+                       .num("skipped", M.Skipped)
+                       .num("replays", M.Replays)
+                       .num("replay_mismatch", M.ReplayMismatch)
+                       .flag("identical", M.identical())
+                       .object());
+  const bool Pass = Identical && MismatchFree;
+  JsonFields F;
+  F.raw("subjects", jsonArray(Rows))
+      .num("campaign_execs", C.Execs)
+      .num("reps", Reps)
+      .num("campaign_speedup_median", CampaignSpeedupMedian)
+      .flag("results_identical", Pass);
+  return writeRecord("selective_throughput", "BENCH_selective.json", F, Pass);
 }

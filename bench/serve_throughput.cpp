@@ -17,7 +17,7 @@
 //  - preemption overhead: the same 16-campaign workload with slices of 1
 //    checkpoint (maximum interleaving) vs effectively-infinite slices
 //    (run-to-completion), vs the plain batch runner without the service
-//    or the store at all.
+//    or the store at all, as rotating paired legs.
 //
 // Writes the record to BENCH_serve.json (PATHFUZZ_BENCH_OUT overrides).
 //
@@ -29,8 +29,6 @@
 #include "serve/Scheduler.h"
 #include "serve/Server.h"
 
-#include <algorithm>
-#include <chrono>
 #include <cinttypes>
 #include <filesystem>
 #include <thread>
@@ -47,13 +45,6 @@ using strategy::Subject;
 namespace fs = std::filesystem;
 
 namespace {
-
-uint64_t nowMicros() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 uint64_t counterOf(const telemetry::MetricsRegistry &Snap, const char *Name) {
   auto It = Snap.counters().find(Name);
@@ -131,9 +122,8 @@ int main() {
     }
     auto TimedRequest = [&Cl](const std::string &Line) {
       std::string Reply;
-      uint64_t T0 = nowMicros();
-      bool Ok = Cl.request(Line, Reply);
-      uint64_t Dt = nowMicros() - T0;
+      bool Ok = false;
+      uint64_t Dt = timeMicros([&] { Ok = Cl.request(Line, Reply); });
       return std::make_pair(Ok, Dt);
     };
     const size_t Reps = 64;
@@ -154,15 +144,9 @@ int main() {
       if (St.first)
         Status.push_back(St.second);
     }
-    auto Median = [](std::vector<uint64_t> &V) -> uint64_t {
-      if (V.empty())
-        return 0;
-      std::sort(V.begin(), V.end());
-      return V[V.size() / 2];
-    };
-    SubmitMedian = Median(Submit);
-    ResubmitMedian = Median(Resubmit);
-    StatusMedian = Median(Status);
+    SubmitMedian = static_cast<uint64_t>(median(Submit));
+    ResubmitMedian = static_cast<uint64_t>(median(Resubmit));
+    StatusMedian = static_cast<uint64_t>(median(Status));
 
     Srv.stop();
     ServerThread.join();
@@ -215,22 +199,23 @@ int main() {
     ScaleResult R;
     R.Campaigns = N;
     R.Tenants = Tenants;
-    uint64_t T0 = nowMicros();
-    for (size_t I = 0; I < N; ++I) {
-      std::string Id, Err;
-      bool Existing = false;
-      if (!Sched.submit("tenant" + std::to_string(I % Tenants), S.Name,
-                        "pcguard", C.Seed + I / Tenants, Budget,
-                        /*Trace=*/false, Id, Existing, Err)) {
-        std::fprintf(stderr, "serve_throughput: submit: %s\n", Err.c_str());
-        return 1;
+    std::string Failure;
+    R.Micros = timeMicros([&] {
+      for (size_t I = 0; I < N && Failure.empty(); ++I) {
+        std::string Id, Err;
+        bool Existing = false;
+        if (!Sched.submit("tenant" + std::to_string(I % Tenants), S.Name,
+                          "pcguard", C.Seed + I / Tenants, Budget,
+                          /*Trace=*/false, Id, Existing, Err))
+          Failure = "submit: " + Err;
       }
-    }
-    if (!Sched.waitIdle(600000)) {
-      std::fprintf(stderr, "serve_throughput: waitIdle timed out\n");
+      if (Failure.empty() && !Sched.waitIdle(600000))
+        Failure = "waitIdle timed out";
+    });
+    if (!Failure.empty()) {
+      std::fprintf(stderr, "serve_throughput: %s\n", Failure.c_str());
       return 1;
     }
-    R.Micros = nowMicros() - T0;
     telemetry::MetricsRegistry Snap = Sched.statsSnapshot();
     R.Preempted = counterOf(Snap, "serve.preempted");
     R.Slices = counterOf(Snap, "serve.slices");
@@ -271,40 +256,46 @@ int main() {
   // Leg 3: preemption overhead. The same 16-campaign workload three ways.
   //===------------------------------------------------------------------===//
   const size_t PreemptN = 16;
-  auto RunSliced = [&](uint32_t SliceCheckpoints) -> uint64_t {
-    SchedulerConfig SC;
-    SC.Root = freshRoot("preempt");
-    SC.CheckpointInterval = Interval;
-    SC.SliceCheckpoints = SliceCheckpoints;
-    Scheduler Sched(SC, {S});
-    uint64_t T0 = nowMicros();
-    for (size_t I = 0; I < PreemptN; ++I) {
-      std::string Id, Err;
-      bool Existing = false;
-      if (!Sched.submit('t' + std::to_string(I % TenantFan), S.Name, "pcguard",
-                        C.Seed + I, Budget, false, Id, Existing, Err))
-        return 0;
-    }
-    if (!Sched.waitIdle(600000))
-      return 0;
-    uint64_t Dt = nowMicros() - T0;
-    std::error_code Ec;
-    fs::remove_all(SC.Root, Ec);
-    return Dt;
+  const std::string PreemptRoot = freshRoot("preempt");
+  bool PreemptOk = true;
+  auto SlicedLeg = [&](uint32_t SliceCheckpoints) -> Leg {
+    return [&, SliceCheckpoints](uint32_t Rep) {
+      SchedulerConfig SC;
+      SC.Root = PreemptRoot + "/" + std::to_string(SliceCheckpoints) + "-" +
+                std::to_string(Rep);
+      SC.CheckpointInterval = Interval;
+      SC.SliceCheckpoints = SliceCheckpoints;
+      Scheduler Sched(SC, {S});
+      for (size_t I = 0; I < PreemptN; ++I) {
+        std::string Id, Err;
+        bool Existing = false;
+        PreemptOk &= Sched.submit('t' + std::to_string(I % TenantFan), S.Name,
+                                  "pcguard", C.Seed + I, Budget, false, Id,
+                                  Existing, Err);
+      }
+      PreemptOk &= Sched.waitIdle(600000);
+      return std::optional<CampaignResult>();
+    };
   };
-  const uint64_t SlicedMicros = RunSliced(1);    // preempt at every ckpt
-  const uint64_t UnslicedMicros = RunSliced(~0u); // run to completion
-  uint64_t PlainMicros = 0;
-  {
-    std::vector<BatchJob> Jobs(PreemptN);
-    for (size_t I = 0; I < PreemptN; ++I) {
-      Jobs[I].S = &S;
-      Jobs[I].Opts = cellOpts(C.Seed + I, Budget, Interval);
-    }
-    uint64_t T0 = nowMicros();
-    (void)strategy::runCampaigns(Jobs);
-    PlainMicros = nowMicros() - T0;
+  std::vector<BatchJob> PlainJobs(PreemptN);
+  for (size_t I = 0; I < PreemptN; ++I) {
+    PlainJobs[I].S = &S;
+    PlainJobs[I].Opts = cellOpts(C.Seed + I, Budget, Interval);
   }
+  Leg PlainLeg = [&PlainJobs](uint32_t) {
+    (void)strategy::runCampaigns(PlainJobs);
+    return std::optional<CampaignResult>();
+  };
+  // Legs: the plain batch runner (no service, no store), run-to-completion
+  // slices, and 1-checkpoint slices (preempt at every checkpoint).
+  std::vector<LegStats> Preempt =
+      timeLegs({PlainLeg, SlicedLeg(~0u), SlicedLeg(1)},
+               std::max<uint32_t>(3, C.Runs));
+  std::error_code Ec;
+  fs::remove_all(PreemptRoot, Ec);
+  const uint64_t PlainMicros = Preempt[0].BestMicros;
+  const uint64_t UnslicedMicros = Preempt[1].BestMicros;
+  const uint64_t SlicedMicros = Preempt[2].BestMicros;
   auto Pct = [](uint64_t A, uint64_t Base) {
     return Base ? 100.0 * (double(A) - double(Base)) / double(Base) : 0.0;
   };
@@ -319,47 +310,33 @@ int main() {
               SlicedMicros, Pct(SlicedMicros, PlainMicros),
               Pct(SlicedMicros, UnslicedMicros));
 
-  //===------------------------------------------------------------------===//
-  // The bench record.
-  //===------------------------------------------------------------------===//
-  std::string ScaleJson = "\"scales\":[";
-  for (size_t I = 0; I < Scales.size(); ++I) {
-    const ScaleResult &R = Scales[I];
-    char Pt[192];
-    std::snprintf(Pt, sizeof(Pt),
-                  "%s{\"campaigns\":%zu,\"tenants\":%zu,\"micros\":%" PRIu64
-                  ",\"slices\":%" PRIu64 ",\"preempted\":%" PRIu64
-                  ",\"all_done\":%s}",
-                  I ? "," : "", R.Campaigns, R.Tenants, R.Micros, R.Slices,
-                  R.Preempted, R.AllDone ? "true" : "false");
-    ScaleJson += Pt;
-  }
-  ScaleJson += "]";
-
-  char Doc[1536];
-  std::snprintf(
-      Doc, sizeof(Doc),
-      "{\"bench\":\"serve_throughput\",\"subject\":\"%s\","
-      "\"budget\":%" PRIu64 ",\"checkpoint_interval\":%" PRIu64 ","
-      "\"workers\":%zu,"
-      "\"submit_micros\":%" PRIu64 ",\"resubmit_micros\":%" PRIu64 ","
-      "\"status_micros\":%" PRIu64 ",%s,"
-      "\"zero_lost_work\":%s,"
-      "\"preempt_campaigns\":%zu,\"plain_micros\":%" PRIu64 ","
-      "\"unsliced_micros\":%" PRIu64 ",\"sliced_micros\":%" PRIu64 ","
-      "\"preempt_overhead_pct\":%.3f}\n",
-      S.Name.c_str(), Budget, Interval, strategy::resolvedJobCount(),
-      SubmitMedian, ResubmitMedian, StatusMedian, ScaleJson.c_str(),
-      ZeroLostWork ? "true" : "false", PreemptN, PlainMicros, UnslicedMicros,
-      SlicedMicros, Pct(SlicedMicros, UnslicedMicros));
-
-  std::string OutPath = envStr("PATHFUZZ_BENCH_OUT", "BENCH_serve.json");
-  std::string Err;
-  if (!telemetry::exportFile(OutPath, Doc, &Err)) {
-    std::fprintf(stderr, "warning: bench record export failed: %s\n",
-                 Err.c_str());
-    return ZeroLostWork ? 0 : 1;
-  }
-  std::printf("\nwrote %s\n", OutPath.c_str());
-  return ZeroLostWork ? 0 : 1;
+  std::vector<std::string> ScaleRows;
+  for (const ScaleResult &R : Scales)
+    ScaleRows.push_back(JsonFields()
+                            .num("campaigns", R.Campaigns)
+                            .num("tenants", R.Tenants)
+                            .num("micros", R.Micros)
+                            .num("slices", R.Slices)
+                            .num("preempted", R.Preempted)
+                            .flag("all_done", R.AllDone)
+                            .object());
+  JsonFields F;
+  F.str("subject", S.Name)
+      .num("budget", Budget)
+      .num("checkpoint_interval", Interval)
+      .num("workers", strategy::resolvedJobCount())
+      .num("submit_micros", SubmitMedian)
+      .num("resubmit_micros", ResubmitMedian)
+      .num("status_micros", StatusMedian)
+      .raw("scales", jsonArray(ScaleRows))
+      .flag("zero_lost_work", ZeroLostWork)
+      .num("preempt_campaigns", PreemptN)
+      .num("plain_micros", PlainMicros)
+      .num("unsliced_micros", UnslicedMicros)
+      .num("sliced_micros", SlicedMicros)
+      .num("preempt_overhead_pct", Pct(SlicedMicros, UnslicedMicros));
+  if (!PreemptOk)
+    std::fprintf(stderr, "serve_throughput: preemption leg failed\n");
+  return writeRecord("serve_throughput", "BENCH_serve.json", F,
+                     ZeroLostWork && PreemptOk);
 }

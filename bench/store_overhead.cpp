@@ -8,9 +8,12 @@
 //
 //  - end-to-end: a stored (checkpoint-every-interval, fsync-per-write)
 //    vs an in-memory campaign on a shared build, median of paired reps,
-//    plus the byte-identity check that durability is purely protective;
+//    plus the byte-identity check on every rep that durability is purely
+//    protective;
 //  - the resume leg: time to finish a campaign from its last persisted
-//    checkpoint vs running it whole;
+//    checkpoint vs running it whole, and the same identity check on its
+//    result;
+//  - an interval sweep at coarser and finer checkpoint cadences;
 //  - checkpoint volume: files written, bytes per checkpoint;
 //  - and writes the record to BENCH_store.json (PATHFUZZ_BENCH_OUT
 //    overrides the path).
@@ -21,10 +24,7 @@
 
 #include "strategy/BuildCache.h"
 #include "strategy/Store.h"
-#include "telemetry/Report.h"
 
-#include <algorithm>
-#include <chrono>
 #include <cinttypes>
 #include <filesystem>
 
@@ -35,30 +35,13 @@ using namespace pathfuzz::bench;
 using namespace pathfuzz::strategy;
 namespace fs = std::filesystem;
 
-namespace {
-
-uint64_t nowMicros() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-} // namespace
-
 int main() {
   BenchConfig C = BenchConfig::fromEnv();
   C.printHeader("Durable-store overhead: stored vs in-memory campaigns");
-
-  const Subject *S = nullptr;
-  for (const Subject &Sub : C.Subjects)
-    if (Sub.Name == "jhead")
-      S = &Sub;
-  if (!S)
-    S = &C.Subjects.front();
+  const Subject &S = C.timedSubject();
 
   BuildCache Cache;
-  std::shared_ptr<SubjectBuild> B = Cache.get(*S);
+  std::shared_ptr<SubjectBuild> B = Cache.get(S);
 
   CampaignOptions InMemory = C.campaignOptions();
   InMemory.Kind = FuzzerKind::Path;
@@ -71,53 +54,29 @@ int main() {
   std::error_code Ec;
   fs::remove_all(Root, Ec);
 
+  // A stored leg checkpointing every Interval execs into a fresh
+  // directory per rep: each run pays the full fresh-start cost, never a
+  // short-circuit through a done manifest.
+  auto StoredLeg = [&](const std::string &Dir, uint64_t Interval) -> Leg {
+    CampaignOptions Stored = InMemory;
+    Stored.CheckpointInterval = Interval;
+    return [&B, Stored, Dir](uint32_t Rep) mutable {
+      Stored.StoreDir = Dir + "/rep-" + std::to_string(Rep);
+      return std::optional<CampaignResult>(runCampaign(*B, Stored));
+    };
+  };
+
   // 8 checkpoints per campaign — the runStoredCampaign default cadence —
   // so the measured tax includes seal + atomic write + fsync + rotate,
   // eight times per run.
   const uint64_t Interval = std::max<uint64_t>(1, C.Execs / 8);
 
   const uint32_t Reps = std::max<uint32_t>(5, C.Runs);
-  uint64_t MemMin = ~0ull, StoredMin = ~0ull;
-  std::vector<double> PairPct;
-  std::vector<uint8_t> MemBytes, StoredBytes;
   (void)runCampaign(*B, InMemory); // warm caches before timing anything
-  for (uint32_t Rep = 0; Rep < Reps; ++Rep) {
-    // Fresh directory per stored rep: each run pays the full fresh-start
-    // cost, never a short-circuit through a done manifest.
-    CampaignOptions Stored = InMemory;
-    Stored.StoreDir = Root + "/rep-" + std::to_string(Rep);
-    Stored.CheckpointInterval = Interval;
-    // Alternate order within each pair so machine drift taxes both sides
-    // evenly (same scheme as telemetry_overhead).
-    const bool StoredFirst = (Rep & 1) != 0;
-    uint64_t M = 0, D = 0;
-    CampaignResult RM, RD;
-    for (int Leg = 0; Leg < 2; ++Leg) {
-      const bool RunStored = StoredFirst == (Leg == 0);
-      uint64_t T0 = nowMicros();
-      CampaignResult R = runCampaign(*B, RunStored ? Stored : InMemory);
-      uint64_t Dt = nowMicros() - T0;
-      if (RunStored) {
-        D = Dt;
-        RD = std::move(R);
-      } else {
-        M = Dt;
-        RM = std::move(R);
-      }
-    }
-    MemMin = std::min(MemMin, M);
-    StoredMin = std::min(StoredMin, D);
-    if (M)
-      PairPct.push_back(100.0 * (double(D) - double(M)) / double(M));
-    if (Rep == 0) {
-      MemBytes = serializeCampaignResult(RM);
-      StoredBytes = serializeCampaignResult(RD);
-    }
-  }
-  const bool Identical = MemBytes == StoredBytes;
-  std::sort(PairPct.begin(), PairPct.end());
-  const double OverheadPct =
-      PairPct.empty() ? 0.0 : PairPct[PairPct.size() / 2];
+  std::vector<LegStats> Legs = timeLegs(
+      {campaignLeg(*B, InMemory), StoredLeg(Root + "/stored", Interval)}, Reps);
+  bool Identical = Legs[0].identical() && Legs[1].identical();
+  const std::vector<uint8_t> &MemBytes = Legs[0].Bytes;
 
   // Checkpoint volume, from one traced stored run in its own directory.
   CampaignOptions Traced = InMemory;
@@ -139,7 +98,8 @@ int main() {
 
   // The resume leg: seed a fresh directory with the campaign's persisted
   // checkpoints minus the last interval's progress (as a SIGKILL there
-  // would leave it), then time finishing from disk.
+  // would leave it), then time finishing from disk. The resumed result
+  // must match the uninterrupted one byte for byte.
   uint64_t ResumeMicros = 0;
   {
     CampaignOptions Seeded = InMemory;
@@ -152,105 +112,76 @@ int main() {
     if (!Ckpts.empty()) {
       std::string Err;
       auto Store =
-          CampaignStore::open(Root + "/resume", S->Name, InMemory, &Err);
+          CampaignStore::open(Root + "/resume", S.Name, InMemory, &Err);
       if (Store)
         Store->writeCheckpoint(Ckpts.back());
       CampaignOptions Resume = InMemory;
       Resume.StoreDir = Root + "/resume";
       Resume.CheckpointInterval = Interval;
-      uint64_t T0 = nowMicros();
-      CampaignResult R = runCampaign(*B, Resume);
-      ResumeMicros = nowMicros() - T0;
-      if (serializeCampaignResult(R) != MemBytes)
-        std::fprintf(stderr, "warning: resumed result diverged\n");
+      CampaignResult R;
+      ResumeMicros = timeMicros([&] { R = runCampaign(*B, Resume); });
+      Identical &= serializeCampaignResult(R) == MemBytes;
     }
   }
 
   // Interval sweep: the tax scales with checkpoint count, so price the
   // layer at coarser and finer cadences than the default too.
-  struct SweepPoint {
-    uint64_t Interval;
-    uint64_t Micros;
-  };
-  std::vector<SweepPoint> Sweep;
+  std::vector<uint64_t> SweepIntervals;
+  std::vector<Leg> SweepLegs;
   for (uint64_t Div : {4, 8, 16}) {
-    CampaignOptions Pt = InMemory;
-    Pt.StoreDir = Root + "/sweep-" + std::to_string(Div);
-    Pt.CheckpointInterval = std::max<uint64_t>(1, C.Execs / Div);
-    uint64_t Best = ~0ull;
-    for (uint32_t Rep = 0; Rep < 2; ++Rep) {
-      fs::remove_all(Pt.StoreDir, Ec); // fresh start, never a done-replay
-      uint64_t T0 = nowMicros();
-      (void)runCampaign(*B, Pt);
-      Best = std::min(Best, nowMicros() - T0);
-    }
-    Sweep.push_back({Pt.CheckpointInterval, Best});
+    SweepIntervals.push_back(std::max<uint64_t>(1, C.Execs / Div));
+    SweepLegs.push_back(StoredLeg(Root + "/sweep-" + std::to_string(Div),
+                                  SweepIntervals.back()));
   }
+  std::vector<LegStats> Sweep = timeLegs(SweepLegs, 2);
+  for (const LegStats &L : Sweep)
+    Identical &= L.identical() && L.Bytes == MemBytes;
 
+  const uint64_t MemMin = Legs[0].BestMicros;
   std::printf("subject: %s (%" PRIu64 " execs, %u paired reps, "
               "%" PRIu64 "-exec checkpoint interval)\n",
-              S->Name.c_str(), C.Execs, Reps, Interval);
+              S.Name.c_str(), C.Execs, Reps, Interval);
   std::printf("campaign, in-memory:   %8" PRIu64 " us (best)\n", MemMin);
-  std::printf("campaign, stored:      %8" PRIu64 " us (best)\n", StoredMin);
-  std::printf("overhead, median of paired reps: %+.2f%%\n", OverheadPct);
+  std::printf("campaign, stored:      %8" PRIu64 " us (best)\n",
+              Legs[1].BestMicros);
+  std::printf("overhead, median of paired reps: %+.2f%%\n",
+              Legs[1].overheadPct());
   std::printf("checkpoints per run: %" PRIu64 " (%" PRIu64
               " bytes total, %" PRIu64 " bytes each)\n",
               CkptWritten, CkptBytes,
               CkptWritten ? CkptBytes / CkptWritten : 0);
   std::printf("resume from last checkpoint: %8" PRIu64 " us\n", ResumeMicros);
-  for (const SweepPoint &P : Sweep)
+  for (size_t I = 0; I < Sweep.size(); ++I) {
+    const double Sw = double(Sweep[I].BestMicros);
     std::printf("interval sweep: every %6" PRIu64 " execs -> %8" PRIu64
                 " us (%+.2f%% vs in-memory best)\n",
-                P.Interval, P.Micros,
-                MemMin ? 100.0 * (double(P.Micros) - double(MemMin)) /
-                             double(MemMin)
-                       : 0.0);
-  std::printf("stored == in-memory results: %s\n", Identical ? "yes" : "NO");
-
-  std::vector<const telemetry::CampaignTrace *> Traces;
-  if (TracedR.Trace)
-    Traces.push_back(TracedR.Trace.get());
-  std::string Jsonl = telemetry::mergedJsonl(Traces);
-  std::string Bench = telemetry::benchJsonFromJsonl(Jsonl, "store_overhead");
-
-  std::string SweepJson = "\"interval_sweep\":[";
-  for (size_t I = 0; I < Sweep.size(); ++I) {
-    char Pt[96];
-    std::snprintf(Pt, sizeof(Pt),
-                  "%s{\"interval\":%" PRIu64 ",\"micros\":%" PRIu64 "}",
-                  I ? "," : "", Sweep[I].Interval, Sweep[I].Micros);
-    SweepJson += Pt;
+                SweepIntervals[I], Sweep[I].BestMicros,
+                MemMin ? 100.0 * (Sw - double(MemMin)) / double(MemMin) : 0.0);
   }
-  SweepJson += "],";
-
-  char Extra[512];
-  std::snprintf(Extra, sizeof(Extra),
-                "\"subject\":\"%s\",\"execs\":%" PRIu64 ",\"reps\":%u,"
-                "\"checkpoint_interval\":%" PRIu64 ","
-                "\"campaign_inmemory_micros\":%" PRIu64 ","
-                "\"campaign_stored_micros\":%" PRIu64 ","
-                "\"overhead_pct\":%.3f,"
-                "\"checkpoints_written\":%" PRIu64 ","
-                "\"checkpoint_bytes\":%" PRIu64 ","
-                "\"resume_micros\":%" PRIu64 ","
-                "\"results_identical\":%s,",
-                S->Name.c_str(), C.Execs, Reps, Interval, MemMin, StoredMin,
-                OverheadPct, CkptWritten, CkptBytes, ResumeMicros,
-                Identical ? "true" : "false");
-  std::string Doc = Bench;
-  size_t Pos = Doc.find("\"configs\":");
-  if (Pos != std::string::npos)
-    Doc.insert(Pos, SweepJson + Extra);
+  std::printf("stored, resumed and swept == in-memory results: %s\n",
+              Identical ? "yes" : "NO");
 
   fs::remove_all(Root, Ec);
 
-  std::string OutPath = envStr("PATHFUZZ_BENCH_OUT", "BENCH_store.json");
-  std::string Err;
-  if (!telemetry::exportFile(OutPath, Doc, &Err)) {
-    std::fprintf(stderr, "warning: bench record export failed: %s\n",
-                 Err.c_str());
-    return Identical ? 0 : 1;
-  }
-  std::printf("\nwrote %s\n", OutPath.c_str());
-  return Identical ? 0 : 1;
+  std::vector<std::string> SweepRows;
+  for (size_t I = 0; I < Sweep.size(); ++I)
+    SweepRows.push_back(JsonFields()
+                            .num("interval", SweepIntervals[I])
+                            .num("micros", Sweep[I].BestMicros)
+                            .object());
+  JsonFields F;
+  F.raw("interval_sweep", jsonArray(SweepRows))
+      .str("subject", S.Name)
+      .num("execs", C.Execs)
+      .num("reps", Reps)
+      .num("checkpoint_interval", Interval)
+      .num("campaign_inmemory_micros", MemMin)
+      .num("campaign_stored_micros", Legs[1].BestMicros)
+      .num("overhead_pct", Legs[1].overheadPct())
+      .num("checkpoints_written", CkptWritten)
+      .num("checkpoint_bytes", CkptBytes)
+      .num("resume_micros", ResumeMicros)
+      .flag("results_identical", Identical);
+  return writeRecord("store_overhead", "BENCH_store.json", F, Identical,
+                     {&TracedR});
 }

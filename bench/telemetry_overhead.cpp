@@ -6,10 +6,12 @@
 // section's overhead claims:
 //
 //  - per-event micro cost: PF_TRACE_EVENT against a null recorder (what
-//    every untraced execution pays — one branch) vs against a live ring;
+//    every untraced execution pays — one branch) vs against a live ring,
+//    and one Histogram::observe (a traced exec pays a couple);
 //  - end-to-end: a traced vs untraced path campaign on a shared build,
-//    best-of-N wall time, plus the byte-identity check that tracing is
-//    purely observational;
+//    best-of-N wall time and the median of paired-rep overheads, plus
+//    the byte-identity check on every rep that tracing is purely
+//    observational;
 //  - and writes the whole record, with per-config end states from the
 //    traced campaigns, to BENCH_telemetry.json (PATHFUZZ_BENCH_OUT
 //    overrides the path).
@@ -19,10 +21,7 @@
 #include "BenchCommon.h"
 
 #include "strategy/BuildCache.h"
-#include "telemetry/Report.h"
 
-#include <algorithm>
-#include <chrono>
 #include <cinttypes>
 
 using namespace pathfuzz;
@@ -31,24 +30,34 @@ using namespace pathfuzz::strategy;
 
 namespace {
 
-uint64_t nowMicros() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 /// ns/op of PF_TRACE_EVENT through a pointer the optimizer cannot
 /// constant-fold. Tr == nullptr measures the disabled (untraced) branch.
 double traceEventNs(telemetry::InstanceTrace *Tr, uint64_t Iters) {
   telemetry::InstanceTrace *volatile Slot = Tr;
-  uint64_t T0 = nowMicros();
-  for (uint64_t I = 0; I < Iters; ++I) {
-    telemetry::InstanceTrace *P = Slot;
-    (void)P; // PF_TRACE_EVENT is empty under PATHFUZZ_NO_TELEMETRY
-    PF_TRACE_EVENT(P, telemetry::EventKind::ExecCompleted, I, 64, 1000, 0);
-  }
-  return double(nowMicros() - T0) * 1000.0 / double(Iters);
+  return double(timeMicros([&] {
+           for (uint64_t I = 0; I < Iters; ++I) {
+             telemetry::InstanceTrace *P = Slot;
+             (void)P; // PF_TRACE_EVENT is empty under PATHFUZZ_NO_TELEMETRY
+             PF_TRACE_EVENT(P, telemetry::EventKind::ExecCompleted, I, 64,
+                            1000, 0);
+           }
+         })) *
+         1000.0 / double(Iters);
+}
+
+/// ns/op of Histogram::observe over a spread of values, through a pointer
+/// the optimizer cannot constant-fold.
+double histogramObserveNs(uint64_t Iters) {
+  telemetry::Histogram H;
+  telemetry::Histogram *volatile Slot = &H;
+  uint64_t V = 1;
+  return double(timeMicros([&] {
+           for (uint64_t I = 0; I < Iters; ++I) {
+             Slot->observe(V);
+             V = V * 2862933555777941757ULL + 3037000493ULL; // cheap LCG
+           }
+         })) *
+         1000.0 / double(Iters);
 }
 
 } // namespace
@@ -56,13 +65,7 @@ double traceEventNs(telemetry::InstanceTrace *Tr, uint64_t Iters) {
 int main() {
   BenchConfig C = BenchConfig::fromEnv();
   C.printHeader("Telemetry overhead: traced vs untraced campaigns");
-
-  const Subject *S = nullptr;
-  for (const Subject &Sub : C.Subjects)
-    if (Sub.Name == "jhead")
-      S = &Sub;
-  if (!S)
-    S = &C.Subjects.front();
+  const Subject &S = C.timedSubject();
 
   // Per-event micro cost first; the disabled case is the only cost an
   // untraced campaign ever sees.
@@ -71,15 +74,15 @@ int main() {
   RingCfg.Enabled = true;
   telemetry::InstanceTrace MicroTrace(RingCfg);
   const double EnabledNs = traceEventNs(&MicroTrace, 1u << 24);
+  const double ObserveNs = histogramObserveNs(1u << 24);
 
-  // End-to-end: same pre-compiled build, alternating untraced / traced
-  // reps. Each adjacent pair sees the same machine conditions, so the
+  // End-to-end: same pre-compiled build, untraced and traced legs. The
   // reported overhead is the MEDIAN of the per-pair ratios — best-of-N
   // on each side separately lets a single lucky outlier flip the sign
-  // on a noisy box. Tracing must not perturb the campaign, so the two
-  // serialized results must compare equal.
+  // on a noisy box. Tracing must not perturb the campaign, so every
+  // rep's serialized results must compare equal.
   BuildCache Cache;
-  std::shared_ptr<SubjectBuild> B = Cache.get(*S);
+  std::shared_ptr<SubjectBuild> B = Cache.get(S);
 
   CampaignOptions Untraced = C.campaignOptions();
   Untraced.Kind = FuzzerKind::Path;
@@ -88,46 +91,11 @@ int main() {
   Traced.Trace.Enabled = true;
 
   const uint32_t Reps = std::max<uint32_t>(5, C.Runs);
-  uint64_t UntracedMin = ~0ull, TracedMin = ~0ull;
-  std::vector<double> PairPct;
-  std::vector<uint8_t> UntracedBytes, TracedBytes;
-  CampaignResult TracedR;
   (void)runCampaign(*B, Untraced); // warm caches before timing anything
-  for (uint32_t Rep = 0; Rep < Reps; ++Rep) {
-    // Swap which config runs first each rep: if the machine slows down
-    // monotonically through a pair (thermal / scheduler drift), a fixed
-    // order would tax whichever side always runs second.
-    const bool TracedFirst = (Rep & 1) != 0;
-    uint64_t U = 0, T = 0;
-    CampaignResult RU, RT;
-    for (int Leg = 0; Leg < 2; ++Leg) {
-      const bool RunTraced = TracedFirst == (Leg == 0);
-      uint64_t T0 = nowMicros();
-      CampaignResult R = runCampaign(*B, RunTraced ? Traced : Untraced);
-      uint64_t Dt = nowMicros() - T0;
-      if (RunTraced) {
-        T = Dt;
-        RT = std::move(R);
-      } else {
-        U = Dt;
-        RU = std::move(R);
-      }
-    }
-    UntracedMin = std::min(UntracedMin, U);
-    TracedMin = std::min(TracedMin, T);
-    if (U)
-      PairPct.push_back(100.0 * (double(T) - double(U)) / double(U));
-
-    if (Rep == 0) {
-      UntracedBytes = serializeCampaignResult(RU);
-      TracedBytes = serializeCampaignResult(RT);
-      TracedR = std::move(RT);
-    }
-  }
-  const bool Identical = UntracedBytes == TracedBytes;
-  std::sort(PairPct.begin(), PairPct.end());
-  const double OverheadPct =
-      PairPct.empty() ? 0.0 : PairPct[PairPct.size() / 2];
+  std::vector<LegStats> Legs =
+      timeLegs({campaignLeg(*B, Untraced), campaignLeg(*B, Traced)}, Reps);
+  const bool Identical = Legs[0].identical() && Legs[1].identical();
+  const double OverheadPct = Legs[1].overheadPct();
 
   // One traced pcguard campaign joins the record so the configs table
   // has both feedback families.
@@ -135,48 +103,29 @@ int main() {
   Pcguard.Kind = FuzzerKind::Pcguard;
   CampaignResult PcR = runCampaign(*B, Pcguard);
 
-  std::vector<const telemetry::CampaignTrace *> Traces;
-  if (TracedR.Trace)
-    Traces.push_back(TracedR.Trace.get());
-  if (PcR.Trace)
-    Traces.push_back(PcR.Trace.get());
-  std::string Jsonl = telemetry::mergedJsonl(Traces);
-  std::string Bench = telemetry::benchJsonFromJsonl(Jsonl, "telemetry_overhead");
-
   std::printf("subject: %s (%" PRIu64 " execs, %u paired reps)\n",
-              S->Name.c_str(), C.Execs, Reps);
+              S.Name.c_str(), C.Execs, Reps);
   std::printf("trace event, disabled: %8.2f ns/op\n", DisabledNs);
   std::printf("trace event, enabled:  %8.2f ns/op\n", EnabledNs);
-  std::printf("campaign, untraced:    %8" PRIu64 " us (best)\n", UntracedMin);
-  std::printf("campaign, traced:      %8" PRIu64 " us (best)\n", TracedMin);
+  std::printf("histogram observe:     %8.2f ns/op\n", ObserveNs);
+  std::printf("campaign, untraced:    %8" PRIu64 " us (best)\n",
+              Legs[0].BestMicros);
+  std::printf("campaign, traced:      %8" PRIu64 " us (best)\n",
+              Legs[1].BestMicros);
   std::printf("overhead, median of paired reps: %+.2f%%\n", OverheadPct);
   std::printf("traced == untraced results: %s\n", Identical ? "yes" : "NO");
 
-  // Splice the measurements into the report tool's bench record, right
-  // before its "configs" array.
-  char Extra[512];
-  std::snprintf(Extra, sizeof(Extra),
-                "\"subject\":\"%s\",\"execs\":%" PRIu64 ",\"reps\":%u,"
-                "\"trace_event_disabled_ns\":%.3f,"
-                "\"trace_event_enabled_ns\":%.3f,"
-                "\"campaign_untraced_micros\":%" PRIu64 ","
-                "\"campaign_traced_micros\":%" PRIu64 ","
-                "\"overhead_pct\":%.3f,\"results_identical\":%s,",
-                S->Name.c_str(), C.Execs, Reps, DisabledNs, EnabledNs,
-                UntracedMin, TracedMin, OverheadPct,
-                Identical ? "true" : "false");
-  std::string Doc = Bench;
-  size_t Pos = Doc.find("\"configs\":");
-  if (Pos != std::string::npos)
-    Doc.insert(Pos, Extra);
-
-  std::string OutPath = envStr("PATHFUZZ_BENCH_OUT", "BENCH_telemetry.json");
-  std::string Err;
-  if (!telemetry::exportFile(OutPath, Doc, &Err)) {
-    std::fprintf(stderr, "warning: bench record export failed: %s\n",
-                 Err.c_str());
-    return Identical ? 0 : 1;
-  }
-  std::printf("\nwrote %s\n", OutPath.c_str());
-  return Identical ? 0 : 1;
+  JsonFields F;
+  F.str("subject", S.Name)
+      .num("execs", C.Execs)
+      .num("reps", Reps)
+      .num("trace_event_disabled_ns", DisabledNs)
+      .num("trace_event_enabled_ns", EnabledNs)
+      .num("histogram_observe_ns", ObserveNs)
+      .num("campaign_untraced_micros", Legs[0].BestMicros)
+      .num("campaign_traced_micros", Legs[1].BestMicros)
+      .num("overhead_pct", OverheadPct)
+      .flag("results_identical", Identical);
+  return writeRecord("telemetry_overhead", "BENCH_telemetry.json", F,
+                     Identical, {&Legs[1].Result, &PcR});
 }

@@ -18,7 +18,7 @@
 //  - end-to-end: one campaign leg per engine on a shared target build,
 //    rotating leg order across reps, median per-pair speedup and
 //    best-of-N execs/sec, plus the serializeCampaignResult
-//    byte-identity check against the interpreter leg;
+//    byte-identity check on every rep against the interpreter leg;
 //  - engine bookkeeping: pre-decoded image size and cache hits, JIT
 //    code size and bailout counts, and the vm.fastpath.* / vm.jit.*
 //    telemetry series from a traced campaign on the fastest engine;
@@ -34,29 +34,17 @@
 
 #include "cov/CoverageMap.h"
 #include "strategy/BuildCache.h"
-#include "telemetry/Report.h"
 #include "vm/Image.h"
 #include "vm/jit/Jit.h"
 
-#include <algorithm>
-#include <chrono>
 #include <cinttypes>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 using namespace pathfuzz;
 using namespace pathfuzz::bench;
 using namespace pathfuzz::strategy;
 
 namespace {
-
-uint64_t nowMicros() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 /// One row of the engine matrix. Engine 0 is always the reference
 /// interpreter; speedups are relative to it.
@@ -77,41 +65,6 @@ std::vector<EngineSpec> engineMatrix() {
   if (vm::jit::available())
     E.push_back({"jit", vm::VmExecMode::Jit, true, true});
   return E;
-}
-
-/// The example subjects under examples/minilang/. PATHFUZZ_EXAMPLES_DIR
-/// overrides the baked-in source location (for out-of-tree runs).
-std::vector<Subject> loadExampleSubjects() {
-#ifdef PATHFUZZ_SOURCE_DIR
-  const char *Default = PATHFUZZ_SOURCE_DIR "/examples/minilang";
-#else
-  const char *Default = "examples/minilang";
-#endif
-  std::string Dir = envStr("PATHFUZZ_EXAMPLES_DIR", Default);
-  std::vector<Subject> Out;
-  for (const char *Name : {"sum", "lookup", "checksum", "tokens", "rle"}) {
-    std::ifstream F(Dir + "/" + Name + ".ml");
-    if (!F)
-      continue;
-    std::ostringstream SS;
-    SS << F.rdbuf();
-    Subject S;
-    S.Name = Name;
-    S.Source = SS.str();
-    if (std::strcmp(Name, "lookup") == 0) {
-      S.Seeds.push_back({'a', 'b', 'c'});
-    } else {
-      // The loop subjects scale with input length; a 1 KiB seed keeps
-      // the measurement in the executor rather than in per-exec setup.
-      fuzz::Input In(1024);
-      Rng R(7);
-      for (uint8_t &B : In)
-        B = static_cast<uint8_t>(R.below(256));
-      S.Seeds.push_back(std::move(In));
-    }
-    Out.push_back(std::move(S));
-  }
-  return Out;
 }
 
 /// The raw-executor workload: the subject's seeds plus mutated copies
@@ -169,29 +122,27 @@ bool sameResult(const vm::ExecResult &A, const vm::ExecResult &B) {
          A.HeapCellsAllocated == B.HeapCellsAllocated;
 }
 
-/// Per-engine timing stats within one subject's measurement.
-struct EngineRawStats {
-  double NsPerStep = 0.0;
-  double Eps = 0.0;
-  double SpeedupBest = 0.0;   ///< vs engine 0, best-of-reps legs
-  double SpeedupMedian = 0.0; ///< vs engine 0, median of per-rep pairs
-  bool Identical = true;      ///< matched engine 0 on every input
-};
-
-/// Per-example-subject measurement record: one EngineRawStats per row of
-/// the matrix (index-aligned with the EngineSpec list).
+/// Per-example-subject measurement: the identity sweep's per-engine
+/// verdicts and the timed legs (index-aligned with the EngineSpec list).
 struct RawMeasurement {
   std::string Name;
-  uint64_t StepsPerExec = 0;
-  std::vector<EngineRawStats> Per;
+  uint64_t TotalSteps = 0;
+  size_t Inputs = 0;
+  std::vector<bool> Identical; ///< matched engine 0 on every input
+  std::vector<LegStats> Legs;
+
+  uint64_t stepsPerExec() const { return TotalSteps / Inputs; }
+  double nsPerStep(size_t I) const {
+    return TotalSteps ? double(Legs[I].BestMicros) * 1000.0 / double(TotalSteps)
+                      : 0.0;
+  }
 };
 
 /// Identity sweep + rotating-leg timing of one subject through every
 /// engine. The identity pass resets the coverage map per exec and
 /// compares every observable field against engine 0; the timed legs skip
 /// the reset (a constant memset cost identical for all engines) so they
-/// measure the executor itself. Leg order rotates across reps so no
-/// engine systematically runs first (cold) or last (warm).
+/// measure the executor itself.
 RawMeasurement measureRaw(const Subject &S, const InstrumentedBuild &IB,
                           const SubjectBuild &SB,
                           const std::vector<EngineSpec> &Engines,
@@ -199,70 +150,36 @@ RawMeasurement measureRaw(const Subject &S, const InstrumentedBuild &IB,
   const size_t N = Engines.size();
   RawMeasurement M;
   M.Name = S.Name;
-  M.Per.resize(N);
+  M.Identical.assign(N, true);
 
   std::vector<fuzz::Input> Inputs = makeWorkload(S, 256);
+  M.Inputs = Inputs.size();
   std::vector<RawEngine> Eng;
   Eng.reserve(N);
   for (const EngineSpec &Spec : Engines)
     Eng.emplace_back(IB, SB.shadow(), Spec);
 
-  uint64_t TotalSteps = 0;
   for (const fuzz::Input &In : Inputs) {
     vm::ExecResult Base = Eng[0].exec(IB, In, /*LogCmps=*/true, true);
     for (size_t I = 1; I < N; ++I) {
       vm::ExecResult R = Eng[I].exec(IB, In, /*LogCmps=*/true, true);
-      M.Per[I].Identical &= sameResult(Base, R);
-      M.Per[I].Identical &=
-          std::memcmp(Eng[0].Map.data(), Eng[I].Map.data(),
-                      Eng[0].Map.size()) == 0;
+      M.Identical[I] = M.Identical[I] && sameResult(Base, R) &&
+                       std::memcmp(Eng[0].Map.data(), Eng[I].Map.data(),
+                                   Eng[0].Map.size()) == 0;
     }
-    TotalSteps += Base.Steps;
+    M.TotalSteps += Base.Steps;
   }
-  M.StepsPerExec = TotalSteps / Inputs.size();
 
-  std::vector<uint64_t> MinMicros(N, ~0ull);
-  std::vector<std::vector<double>> PairSpeedup(N);
-  for (uint32_t Rep = 0; Rep < Reps; ++Rep) {
-    std::vector<uint64_t> Micros(N, 0);
-    for (size_t Leg = 0; Leg < N; ++Leg) {
-      const size_t I = (Leg + Rep) % N; // rotate who goes first
-      uint64_t T0 = nowMicros();
+  std::vector<Leg> Legs;
+  for (RawEngine &E : Eng)
+    Legs.push_back([&E, &IB, &Inputs](uint32_t) {
       for (const fuzz::Input &In : Inputs)
-        (void)Eng[I].exec(IB, In, /*LogCmps=*/false, false);
-      Micros[I] = nowMicros() - T0;
-    }
-    for (size_t I = 0; I < N; ++I) {
-      MinMicros[I] = std::min(MinMicros[I], Micros[I]);
-      if (I && Micros[I])
-        PairSpeedup[I].push_back(double(Micros[0]) / double(Micros[I]));
-    }
-  }
-  for (size_t I = 0; I < N; ++I) {
-    EngineRawStats &St = M.Per[I];
-    if (TotalSteps)
-      St.NsPerStep = double(MinMicros[I]) * 1000.0 / double(TotalSteps);
-    if (MinMicros[I])
-      St.Eps = double(Inputs.size()) * 1e6 / double(MinMicros[I]);
-    if (I) {
-      std::sort(PairSpeedup[I].begin(), PairSpeedup[I].end());
-      St.SpeedupMedian = PairSpeedup[I].empty()
-                             ? 0.0
-                             : PairSpeedup[I][PairSpeedup[I].size() / 2];
-      St.SpeedupBest =
-          MinMicros[I] ? double(MinMicros[0]) / double(MinMicros[I]) : 0.0;
-    }
-  }
+        (void)E.exec(IB, In, /*LogCmps=*/false, false);
+      return std::optional<CampaignResult>();
+    });
+  M.Legs = timeLegs(Legs, Reps);
   return M;
 }
-
-/// Per-engine campaign stats (index-aligned with the EngineSpec list).
-struct EngineCampaignStats {
-  uint64_t MinMicros = ~0ull;
-  double Eps = 0.0;
-  double SpeedupMedian = 0.0; ///< vs engine 0
-  bool Identical = true;      ///< serialized result matched engine 0
-};
 
 } // namespace
 
@@ -281,7 +198,7 @@ int main() {
   std::vector<Subject> Examples = loadExampleSubjects();
   const uint32_t RawReps = std::max<uint32_t>(7, C.Runs);
   std::vector<RawMeasurement> Raw;
-  bool RawIdentical = true;
+  bool Identical = true;
   int64_t JitCodeBytes = 0, JitFuncs = 0;
   for (const Subject &S : Examples) {
     BuildCache Cache;
@@ -294,8 +211,8 @@ int main() {
       JitFuncs += IB.Jit->stats().NumFuncs;
     }
     Raw.push_back(measureRaw(S, IB, *SB, Engines, RawReps));
-    for (size_t I = 1; I < N; ++I)
-      RawIdentical &= Raw.back().Per[I].Identical;
+    for (bool Same : Raw.back().Identical)
+      Identical &= Same;
   }
   // Headline per engine: median across subjects of the per-subject
   // median speedup.
@@ -303,76 +220,41 @@ int main() {
   for (size_t I = 1; I < N; ++I) {
     std::vector<double> Medians;
     for (const RawMeasurement &M : Raw)
-      Medians.push_back(M.Per[I].SpeedupMedian);
-    std::sort(Medians.begin(), Medians.end());
-    HeadlineMedian[I] = Medians.empty() ? 0.0 : Medians[Medians.size() / 2];
+      Medians.push_back(M.Legs[I].speedup());
+    HeadlineMedian[I] = median(Medians);
   }
 
   //===--------------------------------------------------------------------===//
   // End-to-end campaigns: one leg per engine per rep on a shared target
-  // build, leg order rotating across reps (the fuzzing layer on top
-  // dilutes the raw-executor win; both numbers are reported).
+  // build (the fuzzing layer on top dilutes the raw-executor win; both
+  // numbers are reported).
   //===--------------------------------------------------------------------===//
 
-  const Subject *S = nullptr;
-  for (const Subject &Sub : C.Subjects)
-    if (Sub.Name == "jhead")
-      S = &Sub;
-  if (!S)
-    S = &C.Subjects.front();
-
+  const Subject &S = C.timedSubject();
   BuildCache Cache;
-  std::shared_ptr<SubjectBuild> SB = Cache.get(*S);
+  std::shared_ptr<SubjectBuild> SB = Cache.get(S);
 
-  std::vector<CampaignOptions> Opts(N);
-  for (size_t I = 0; I < N; ++I) {
-    Opts[I] = C.campaignOptions();
-    Opts[I].Kind = FuzzerKind::Path;
-    Opts[I].Trace = telemetry::TraceConfig(); // timed legs run untraced
-    Opts[I].VmMode = Engines[I].Mode;
+  std::vector<Leg> Legs;
+  CampaignOptions Deepest;
+  for (const EngineSpec &E : Engines) {
+    Deepest = C.campaignOptions();
+    Deepest.Kind = FuzzerKind::Path;
+    Deepest.Trace = telemetry::TraceConfig(); // timed legs run untraced
+    Deepest.VmMode = E.Mode;
+    Legs.push_back(campaignLeg(*SB, Deepest));
   }
-
   const uint32_t Reps = std::max<uint32_t>(3, C.Runs);
-  std::vector<EngineCampaignStats> Camp(N);
-  std::vector<std::vector<double>> CampPair(N);
-  (void)runCampaign(*SB, Opts.back()); // warm caches before timing anything
-  for (uint32_t Rep = 0; Rep < Reps; ++Rep) {
-    std::vector<uint64_t> Micros(N, 0);
-    std::vector<std::vector<uint8_t>> Bytes(N);
-    for (size_t Leg = 0; Leg < N; ++Leg) {
-      const size_t I = (Leg + Rep) % N;
-      uint64_t T0 = nowMicros();
-      CampaignResult R = runCampaign(*SB, Opts[I]);
-      Micros[I] = nowMicros() - T0;
-      Bytes[I] = serializeCampaignResult(R);
-    }
-    for (size_t I = 0; I < N; ++I) {
-      Camp[I].MinMicros = std::min(Camp[I].MinMicros, Micros[I]);
-      if (I) {
-        if (Micros[I])
-          CampPair[I].push_back(double(Micros[0]) / double(Micros[I]));
-        Camp[I].Identical &= Bytes[I] == Bytes[0];
-      }
-    }
-  }
-  bool CampaignIdentical = true;
-  for (size_t I = 0; I < N; ++I) {
-    if (Camp[I].MinMicros && Camp[I].MinMicros != ~0ull)
-      Camp[I].Eps = double(C.Execs) * 1e6 / double(Camp[I].MinMicros);
-    if (I) {
-      std::sort(CampPair[I].begin(), CampPair[I].end());
-      Camp[I].SpeedupMedian =
-          CampPair[I].empty() ? 0.0 : CampPair[I][CampPair[I].size() / 2];
-      CampaignIdentical &= Camp[I].Identical;
-    }
-  }
+  (void)runCampaign(*SB, Deepest); // warm caches before timing anything
+  std::vector<LegStats> Camp = timeLegs(Legs, Reps);
+  for (const LegStats &L : Camp)
+    Identical &= L.identical();
 
   //===--------------------------------------------------------------------===//
   // Engine bookkeeping: image cache stats plus the vm.fastpath.* and
   // vm.jit.* series from one traced campaign on the deepest engine.
   //===--------------------------------------------------------------------===//
 
-  CampaignOptions Traced = Opts.back();
+  CampaignOptions Traced = Deepest;
   Traced.Trace.Enabled = true;
   CampaignResult TracedR = runCampaign(*SB, Traced);
   uint64_t DirtyResetBytes = 0, JitExecs = 0, JitBailouts = 0;
@@ -397,8 +279,6 @@ int main() {
         JitCompiled = Gt->second;
     }
 
-  const bool Identical = RawIdentical && CampaignIdentical;
-
   std::printf("dispatch: %s; engines:", vm::threadedDispatch()
                                             ? "computed-goto (threaded)"
                                             : "portable switch");
@@ -415,22 +295,22 @@ int main() {
     std::printf(" %9s-x(med)", Engines[I].Name);
   std::printf("\n");
   for (const RawMeasurement &M : Raw) {
-    std::printf("  %-9s %11" PRIu64 " %15.2f", M.Name.c_str(), M.StepsPerExec,
-                M.Per[0].NsPerStep);
+    std::printf("  %-9s %11" PRIu64 " %15.2f", M.Name.c_str(),
+                M.stepsPerExec(), M.nsPerStep(0));
     for (size_t I = 1; I < N; ++I)
-      std::printf(" %15.2fx", M.Per[I].SpeedupMedian);
+      std::printf(" %15.2fx", M.Legs[I].speedup());
     std::printf("\n");
   }
   for (size_t I = 1; I < N; ++I)
     std::printf("  median speedup across example subjects (%s): %.2fx\n",
                 Engines[I].Name, HeadlineMedian[I]);
   std::printf("\ncampaign subject: %s (%" PRIu64 " execs, %u rotating reps)\n",
-              S->Name.c_str(), C.Execs, Reps);
+              S.Name.c_str(), C.Execs, Reps);
   for (size_t I = 0; I < N; ++I)
     std::printf("campaign %-9s %8" PRIu64 " us (best), %9.0f execs/sec"
                 "%s%.2fx median)\n",
-                Engines[I].Name, Camp[I].MinMicros, Camp[I].Eps,
-                I ? " (" : " (baseline; ", I ? Camp[I].SpeedupMedian : 1.0);
+                Engines[I].Name, Camp[I].BestMicros, Camp[I].perSec(C.Execs),
+                I ? " (" : " (baseline; ", Camp[I].speedup());
   std::printf("image: %" PRId64 " bytes, %zu decode(s), %zu cache hit(s)\n",
               ImageBytes, SB->imageBuilds(), SB->imageHits());
   if (vm::jit::available())
@@ -443,93 +323,59 @@ int main() {
   std::printf("all engines == interpreter results: %s\n",
               Identical ? "yes" : "NO");
 
-  std::vector<const telemetry::CampaignTrace *> Traces;
-  if (TracedR.Trace)
-    Traces.push_back(TracedR.Trace.get());
-  std::string Jsonl = telemetry::mergedJsonl(Traces);
-  std::string Bench = telemetry::benchJsonFromJsonl(Jsonl, "vm_throughput");
-
-  // Splice the measurements into the report tool's bench record, right
-  // before its "configs" array.
-  std::string Extra;
-  {
-    char Buf[512];
-    Extra += "\"engines\":[";
-    for (size_t I = 0; I < N; ++I) {
-      std::snprintf(Buf, sizeof(Buf), "%s\"%s\"", I ? "," : "",
-                    Engines[I].Name);
-      Extra += Buf;
-    }
-    Extra += "],";
-    Extra += "\"examples\":[";
-    for (size_t J = 0; J < Raw.size(); ++J) {
-      const RawMeasurement &M = Raw[J];
-      std::snprintf(Buf, sizeof(Buf),
-                    "%s{\"name\":\"%s\",\"steps_per_exec\":%" PRIu64
-                    ",\"interp_ns_per_step\":%.3f,\"engines\":{",
-                    J ? "," : "", M.Name.c_str(), M.StepsPerExec,
-                    M.Per[0].NsPerStep);
-      Extra += Buf;
-      for (size_t I = 1; I < N; ++I) {
-        const EngineRawStats &St = M.Per[I];
-        std::snprintf(Buf, sizeof(Buf),
-                      "%s\"%s\":{\"ns_per_step\":%.3f,\"execs_per_sec\":%.1f,"
-                      "\"speedup_best\":%.3f,\"speedup_median\":%.3f,"
-                      "\"identical\":%s}",
-                      I > 1 ? "," : "", Engines[I].Name, St.NsPerStep, St.Eps,
-                      St.SpeedupBest, St.SpeedupMedian,
-                      St.Identical ? "true" : "false");
-        Extra += Buf;
-      }
-      Extra += "}}";
-    }
-    Extra += "],";
-    for (size_t I = 1; I < N; ++I) {
-      std::snprintf(Buf, sizeof(Buf), "\"examples_%s_speedup_median\":%.3f,",
-                    Engines[I].Name, HeadlineMedian[I]);
-      Extra += Buf;
-    }
-    std::snprintf(
-        Buf, sizeof(Buf),
-        "\"threaded_dispatch\":%s,\"jit_available\":%s,"
-        "\"campaign_subject\":\"%s\",\"campaign_execs\":%" PRIu64 ",\"reps\":%u,"
-        "\"campaigns\":{",
-        vm::threadedDispatch() ? "true" : "false",
-        vm::jit::available() ? "true" : "false", S->Name.c_str(), C.Execs,
-        Reps);
-    Extra += Buf;
-    for (size_t I = 0; I < N; ++I) {
-      std::snprintf(Buf, sizeof(Buf),
-                    "%s\"%s\":{\"micros\":%" PRIu64 ",\"execs_per_sec\":%.1f,"
-                    "\"speedup_median\":%.3f,\"identical\":%s}",
-                    I ? "," : "", Engines[I].Name, Camp[I].MinMicros,
-                    Camp[I].Eps, I ? Camp[I].SpeedupMedian : 1.0,
-                    Camp[I].Identical ? "true" : "false");
-      Extra += Buf;
-    }
-    Extra += "},";
-    std::snprintf(
-        Buf, sizeof(Buf),
-        "\"image_bytes\":%" PRId64 ",\"image_builds\":%zu,\"image_hits\":%zu,"
-        "\"jit_funcs\":%" PRId64 ",\"jit_code_bytes\":%" PRId64
-        ",\"jit_execs\":%" PRIu64 ",\"jit_bailouts\":%" PRIu64
-        ",\"dirty_reset_bytes\":%" PRIu64 ",\"results_identical\":%s,",
-        ImageBytes, SB->imageBuilds(), SB->imageHits(), JitFuncs, JitCodeBytes,
-        JitExecs, JitBailouts, DirtyResetBytes, Identical ? "true" : "false");
-    Extra += Buf;
+  std::vector<std::string> Names;
+  JsonFields F;
+  for (const EngineSpec &E : Engines)
+    Names.push_back("\"" + std::string(E.Name) + "\"");
+  F.raw("engines", jsonArray(Names));
+  std::vector<std::string> ExampleRows;
+  for (const RawMeasurement &M : Raw) {
+    JsonFields PerEngine;
+    for (size_t I = 1; I < N; ++I)
+      PerEngine.raw(Engines[I].Name,
+                    JsonFields()
+                        .num("ns_per_step", M.nsPerStep(I))
+                        .num("execs_per_sec", M.Legs[I].perSec(M.Inputs), 1)
+                        .num("speedup_best", M.Legs[I].bestSpeedup(M.Legs[0]))
+                        .num("speedup_median", M.Legs[I].speedup())
+                        .flag("identical", M.Identical[I])
+                        .object());
+    ExampleRows.push_back(JsonFields()
+                              .str("name", M.Name)
+                              .num("steps_per_exec", M.stepsPerExec())
+                              .num("interp_ns_per_step", M.nsPerStep(0))
+                              .raw("engines", PerEngine.object())
+                              .object());
   }
-  std::string Doc = Bench;
-  size_t Pos = Doc.find("\"configs\":");
-  if (Pos != std::string::npos)
-    Doc.insert(Pos, Extra);
-
-  std::string OutPath = envStr("PATHFUZZ_BENCH_OUT", "BENCH_vm.json");
-  std::string Err;
-  if (!telemetry::exportFile(OutPath, Doc, &Err)) {
-    std::fprintf(stderr, "warning: bench record export failed: %s\n",
-                 Err.c_str());
-    return Identical ? 0 : 1;
-  }
-  std::printf("\nwrote %s\n", OutPath.c_str());
-  return Identical ? 0 : 1;
+  F.raw("examples", jsonArray(ExampleRows));
+  for (size_t I = 1; I < N; ++I)
+    F.num(("examples_" + std::string(Engines[I].Name) + "_speedup_median")
+              .c_str(),
+          HeadlineMedian[I]);
+  JsonFields Campaigns;
+  for (size_t I = 0; I < N; ++I)
+    Campaigns.raw(Engines[I].Name,
+                  JsonFields()
+                      .num("micros", Camp[I].BestMicros)
+                      .num("execs_per_sec", Camp[I].perSec(C.Execs), 1)
+                      .num("speedup_median", Camp[I].speedup())
+                      .flag("identical", Camp[I].identical())
+                      .object());
+  F.flag("threaded_dispatch", vm::threadedDispatch())
+      .flag("jit_available", vm::jit::available())
+      .str("campaign_subject", S.Name)
+      .num("campaign_execs", C.Execs)
+      .num("reps", Reps)
+      .raw("campaigns", Campaigns.object())
+      .num("image_bytes", ImageBytes)
+      .num("image_builds", SB->imageBuilds())
+      .num("image_hits", SB->imageHits())
+      .num("jit_funcs", JitFuncs)
+      .num("jit_code_bytes", JitCodeBytes)
+      .num("jit_execs", JitExecs)
+      .num("jit_bailouts", JitBailouts)
+      .num("dirty_reset_bytes", DirtyResetBytes)
+      .flag("results_identical", Identical);
+  return writeRecord("vm_throughput", "BENCH_vm.json", F, Identical,
+                     {&TracedR});
 }
