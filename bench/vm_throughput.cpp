@@ -4,9 +4,8 @@
 //
 // Measures what each VM execution engine buys over the reference
 // interpreter, backing docs/PERFORMANCE.md. The harness is an N-engine
-// matrix — the interpreter is always engine 0 (the baseline), and every
-// other engine (the pre-decoded fast path, the baseline JIT when the
-// platform supports it) rides the same legs:
+// matrix — the interpreter is always engine 0 (the baseline), and the
+// baseline JIT, when the platform supports it, rides the same legs:
 //
 //  - raw executor throughput on the example subjects
 //    (examples/minilang/*.ml): each replays the same mutated-seed input
@@ -20,8 +19,9 @@
 //    best-of-N execs/sec, plus the serializeCampaignResult
 //    byte-identity check on every rep against the interpreter leg;
 //  - engine bookkeeping: pre-decoded image size and cache hits, JIT
-//    code size and bailout counts, and the vm.fastpath.* / vm.jit.*
-//    telemetry series from a traced campaign on the fastest engine;
+//    code size and bailout counts, and the vm.fastpath.* (the JIT's
+//    image and snapshot reset) / vm.jit.* telemetry series from a traced
+//    campaign on the fastest engine;
 //  - and writes the whole record to BENCH_vm.json (PATHFUZZ_BENCH_OUT
 //    overrides the path).
 //
@@ -51,19 +51,14 @@ namespace {
 struct EngineSpec {
   const char *Name;
   vm::VmExecMode Mode;
-  bool UseImage; ///< attach the pre-decoded image
-  bool UseJit;   ///< attach the compiled native program too
 };
 
 /// The engines this build can run. The JIT row is present only when the
 /// platform supports it (x86-64 with W^X code pages).
 std::vector<EngineSpec> engineMatrix() {
-  std::vector<EngineSpec> E = {
-      {"interp", vm::VmExecMode::Interpreter, false, false},
-      {"fastpath", vm::VmExecMode::FastPath, true, false},
-  };
+  std::vector<EngineSpec> E = {{"interp", vm::VmExecMode::Interpreter}};
   if (vm::jit::available())
-    E.push_back({"jit", vm::VmExecMode::Jit, true, true});
+    E.push_back({"jit", vm::VmExecMode::Jit});
   return E;
 }
 
@@ -89,9 +84,7 @@ struct RawEngine {
   RawEngine(const InstrumentedBuild &IB, const instr::ShadowEdgeIndex &Shadow,
             const EngineSpec &Spec)
       : Machine(IB.Mod, &Shadow), Map(16) {
-    if (Spec.UseImage)
-      Machine.attachImage(IB.Image.get());
-    if (Spec.UseJit)
+    if (Spec.Mode == vm::VmExecMode::Jit)
       Machine.attachJit(IB.Jit.get());
   }
 
@@ -110,7 +103,7 @@ struct RawEngine {
 };
 
 /// Field-level identity of two executions (everything ExecResult carries
-/// except the fast-path-only DirtyGlobalCells bookkeeping).
+/// except the JIT-only DirtyGlobalCells bookkeeping).
 bool sameResult(const vm::ExecResult &A, const vm::ExecResult &B) {
   return A.TheFault.Kind == B.TheFault.Kind && A.TheFault.Func == B.TheFault.Func &&
          A.TheFault.Block == B.TheFault.Block &&
@@ -279,9 +272,7 @@ int main() {
         JitCompiled = Gt->second;
     }
 
-  std::printf("dispatch: %s; engines:", vm::threadedDispatch()
-                                            ? "computed-goto (threaded)"
-                                            : "portable switch");
+  std::printf("engines:");
   for (const EngineSpec &E : Engines)
     std::printf(" %s", E.Name);
   if (!vm::jit::available())
@@ -361,8 +352,7 @@ int main() {
                       .num("speedup_median", Camp[I].speedup())
                       .flag("identical", Camp[I].identical())
                       .object());
-  F.flag("threaded_dispatch", vm::threadedDispatch())
-      .flag("jit_available", vm::jit::available())
+  F.flag("jit_available", vm::jit::available())
       .str("campaign_subject", S.Name)
       .num("campaign_execs", C.Execs)
       .num("reps", Reps)

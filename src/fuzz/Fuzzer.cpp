@@ -48,9 +48,10 @@ Fuzzer::Fuzzer(const mir::Module &M, const instr::InstrumentReport &Report,
     HInputSize = Reg.histogram("input.size");
     HHeapCells = Reg.histogram("exec.heap.cells");
     if (this->Opts.Image) {
-      // Fast-path-only series, registered only when an image is attached
-      // so interpreter traces carry no vm.fastpath.* family (identity
-      // comparisons across engines exclude exactly that family).
+      // JIT-engine series (image size, snapshot-reset bytes), registered
+      // only when an image is attached so interpreter traces carry no
+      // vm.fastpath.* family (identity comparisons across engines exclude
+      // exactly that family).
       MResetBytes = Reg.counter("vm.fastpath.reset.bytes");
       *Reg.gauge("vm.fastpath.image.bytes") =
           static_cast<int64_t>(this->Opts.Image->byteSize());
@@ -66,10 +67,10 @@ Fuzzer::Fuzzer(const mir::Module &M, const instr::InstrumentReport &Report,
     }
     if (this->Opts.Jit) {
       // JIT-only series, registered only when a compiled program is
-      // attached so interpreter and fast-path traces carry no vm.jit.*
-      // family (engine-local; see telemetry::isEngineLocalMetric). The
-      // gauges describe the attached code once; the counters accumulate
-      // per-exec in processResult.
+      // attached so interpreter traces carry no vm.jit.* family
+      // (engine-local; see telemetry::isEngineLocalMetric). The gauges
+      // describe the attached code once; the counters accumulate per-exec
+      // in processResult.
       MJitExecs = Reg.counter("vm.jit.execs");
       MJitBailouts = Reg.counter("vm.jit.bailouts");
       int64_t Funcs = this->Opts.Jit->stats().NumFuncs;

@@ -91,19 +91,18 @@ struct FuzzerOptions {
   /// traced and untraced runs are byte-identical in campaign results.
   telemetry::TraceConfig Trace;
 
-  /// Pre-decoded program image for the VM fast path (vm/Image.h). Must be
-  /// built from the same instrumented module and shadow index the fuzzer
-  /// is constructed over; may be shared read-only across instances. Null
-  /// runs the reference interpreter — either way every execution result
-  /// is bit-identical, the fast path only changes per-exec cost. The
-  /// campaign drivers set this from the build cache when the fast path is
-  /// enabled (see CampaignOptions::VmMode).
+  /// Pre-decoded program image (vm/Image.h), the input Jit was compiled
+  /// from. Must be built from the same instrumented module and shadow
+  /// index the fuzzer is constructed over; may be shared read-only across
+  /// instances. Without Jit the reference interpreter runs. The campaign
+  /// drivers set this from the build cache when the JIT engine is enabled
+  /// (see CampaignOptions::VmMode).
   const vm::ProgramImage *Image = nullptr;
 
   /// Compiled native program for the JIT engine (vm/jit/Jit.h). Must have
   /// been compiled from Image (the Vm asserts the pairing); may be shared
-  /// read-only across instances like the image. Null runs whatever Image
-  /// selects; non-null dispatches executions to compiled code with
+  /// read-only across instances like the image. Null runs the reference
+  /// interpreter; non-null dispatches executions to compiled code with
   /// bit-identical results — only per-exec cost changes. Set by the
   /// campaign drivers from the build cache when the JIT engine is enabled
   /// (see CampaignOptions::VmMode and vm::jitEnabled).
@@ -244,8 +243,11 @@ public:
   /// Restore state captured by snapshot() on a compatibly-configured
   /// fuzzer (same map size, same module/shadow index). Returns false —
   /// without touching any state — on envelope corruption, version
-  /// mismatch or structural mismatch. A restored fuzzer continues run()
-  /// byte-identically to the instance that was snapshotted.
+  /// mismatch, structural mismatch, or a payload that is malformed,
+  /// non-canonical or out of range for this fuzzer; an accepted blob
+  /// re-serializes byte-equal (same trace configuration). A restored
+  /// fuzzer continues run() byte-identically to the instance that was
+  /// snapshotted.
   bool restore(const std::vector<uint8_t> &Blob);
 
   /// Execute one input under this fuzzer's feedback without corpus or
@@ -270,8 +272,6 @@ public:
 
   const std::vector<int64_t> &cmpDict() const { return CmpDict; }
 
-  /// Whether executions run on the VM fast path (an image is attached).
-  bool usingFastPath() const { return Machine.usingImage(); }
   /// Snapshot-reset accounting of the underlying Vm (all zero on the
   /// interpreter).
   const vm::ResetStats &vmResetStats() const { return Machine.resetStats(); }
@@ -342,7 +342,7 @@ private:
   uint64_t *MExecs = nullptr;
   uint64_t *MHeapAllocs = nullptr;
   uint64_t *MHeapCells = nullptr;
-  /// Fast-path-only counter (bytes of global state the snapshot reset
+  /// JIT-engine counter (bytes of global state the snapshot reset
   /// restores); null when tracing is off *or* no image is attached, so
   /// interpreter traces never grow a vm.fastpath.* metric family.
   uint64_t *MResetBytes = nullptr;

@@ -62,7 +62,10 @@ void writeFault(ByteWriter &W, const vm::Fault &F) {
 
 vm::Fault readFault(ByteReader &R) {
   vm::Fault F;
-  F.Kind = static_cast<vm::FaultKind>(R.u8());
+  uint8_t Kind = R.u8();
+  if (Kind > static_cast<uint8_t>(vm::FaultKind::StepLimit))
+    R.invalidate();
+  F.Kind = static_cast<vm::FaultKind>(Kind);
   F.Func = R.u32();
   F.Block = R.u32();
   F.InstrIdx = R.u32();
@@ -139,8 +142,8 @@ QueueEntry readQueueEntry(ByteReader &R) {
   E.Density = R.u32();
   E.Steps = R.u64();
   E.Depth = R.u32();
-  E.Favored = R.u8() != 0;
-  E.WasFuzzed = R.u8() != 0;
+  E.Favored = R.flag();
+  E.WasFuzzed = R.flag();
   E.FoundAtExec = R.u64();
   E.MapSet = R.vecU32();
   E.EdgeSet = R.vecU32();
@@ -230,112 +233,129 @@ bool Fuzzer::restore(const std::vector<uint8_t> &Blob) {
     return false;
   ByteReader Rd(Payload);
 
-  // Structural fingerprint first: nothing is mutated on mismatch. Past
-  // this point the checksummed payload is trusted (a failed read below
-  // still returns false, but the fuzzer must then be discarded).
-  if (Rd.u32() != Trace.size() ||
-      Rd.u32() != static_cast<uint32_t>(EdgeCovered.size()) || !Rd.ok())
+  // Decode and validate everything into locals first; the fuzzer is only
+  // assigned once the whole payload has been accepted, so a rejected blob
+  // leaves every member untouched. Beyond well-formedness, the payload
+  // must be canonical (flags 0/1, sets strictly ascending) and in range
+  // for this fuzzer (map indices, edge IDs, queue positions): anything
+  // accepted re-serializes to the same bytes and cannot index out of
+  // bounds later.
+  const uint32_t MapSize = Trace.size();
+  const uint32_t NumEdges = static_cast<uint32_t>(EdgeCovered.size());
+  if (Rd.u32() != MapSize || Rd.u32() != NumEdges || !Rd.ok())
     return false;
-
-  // The selective-mode signature cache is deliberately absent from the
-  // blob (it is pure cache: a resumed run just replays more). It must not
-  // survive the restore either — entries observed before the restore may
-  // name paths the restored virgin map has never consumed, and a stale
-  // skip would drop real novelty.
-  SeenSigs.clear();
 
   uint64_t RngState[4];
   for (uint64_t &S : RngState)
     S = Rd.u64();
-  R.loadState(RngState);
-  Sched.CurIdx = Rd.u64();
-  Sched.CycleEnd = Rd.u64();
-  Sched.Cycles = Rd.u64();
+  CycleScheduler NewSched;
+  NewSched.CurIdx = Rd.u64();
+  NewSched.CycleEnd = Rd.u64();
+  NewSched.Cycles = Rd.u64();
 
-  Stats.Execs = Rd.u64();
-  Stats.Crashes = Rd.u64();
-  Stats.Hangs = Rd.u64();
-  Stats.LastFindExec = Rd.u64();
-  Stats.QueueCycles = Rd.u64();
-  Stats.QueueGrowth.clear();
+  FuzzStats NewStats;
+  NewStats.Execs = Rd.u64();
+  NewStats.Crashes = Rd.u64();
+  NewStats.Hangs = Rd.u64();
+  NewStats.LastFindExec = Rd.u64();
+  NewStats.QueueCycles = Rd.u64();
   uint64_t NGrowth = Rd.u64();
   if (NGrowth > Rd.remaining() / 16)
     return false;
-  Stats.QueueGrowth.reserve(NGrowth);
+  NewStats.QueueGrowth.reserve(NGrowth);
   for (uint64_t I = 0; I < NGrowth; ++I) {
     uint64_t Execs = Rd.u64();
     uint64_t QueueSize = Rd.u64();
-    Stats.QueueGrowth.push_back({Execs, QueueSize});
+    NewStats.QueueGrowth.push_back({Execs, QueueSize});
   }
-  AvgStepsNum = Rd.u64();
-  AvgStepsDen = Rd.u64();
+  const uint64_t NewAvgNum = Rd.u64();
+  const uint64_t NewAvgDen = Rd.u64();
 
-  std::vector<uint8_t> VirginBytes(Trace.size());
-  if (!Rd.bytes(VirginBytes.data(), VirginBytes.size()))
-    return false;
-  if (!Virgin.restoreFrom(VirginBytes.data(), VirginBytes.size()))
-    return false;
-  if (!Rd.bytes(EdgeCovered.data(), EdgeCovered.size()))
-    return false;
-  EdgeCoveredCount = 0;
-  for (uint8_t B : EdgeCovered)
-    EdgeCoveredCount += (B != 0);
-
-  CmpDict = Rd.vecI64();
-  CmpDictSet.clear();
-  CmpDictSet.insert(CmpDict.begin(), CmpDict.end());
-
+  std::vector<uint8_t> VirginBytes = Rd.raw(MapSize);
+  std::vector<uint8_t> NewEdgeCovered = Rd.raw(NumEdges);
+  std::vector<int64_t> NewCmpDict = Rd.vecI64();
   std::vector<uint64_t> BugList = Rd.vecU64();
-  Bugs.clear();
-  Bugs.insert(BugList.begin(), BugList.end());
+  if (!Rd.ok() || !strictlyAscending(BugList))
+    return false;
 
+  std::vector<CrashRecord> NewCrashes;
   uint64_t NCrashes = Rd.u64();
-  Crashes.clear();
-  CrashHashes.clear();
-  for (uint64_t I = 0; I < NCrashes && Rd.ok(); ++I) {
-    Crashes.push_back(readCrashRecord(Rd));
-    CrashHashes.insert(Crashes.back().StackHash);
-  }
+  for (uint64_t I = 0; I < NCrashes && Rd.ok(); ++I)
+    NewCrashes.push_back(readCrashRecord(Rd));
+  std::vector<HangRecord> NewHangs;
   uint64_t NHangs = Rd.u64();
-  Hangs.clear();
-  HangHashes.clear();
-  for (uint64_t I = 0; I < NHangs && Rd.ok(); ++I) {
-    Hangs.push_back(readHangRecord(Rd));
-    HangHashes.insert(Hangs.back().InputHash);
-  }
+  for (uint64_t I = 0; I < NHangs && Rd.ok(); ++I)
+    NewHangs.push_back(readHangRecord(Rd));
 
   uint64_t NEntries = Rd.u64();
   std::vector<QueueEntry> Entries;
-  for (uint64_t I = 0; I < NEntries && Rd.ok(); ++I)
+  for (uint64_t I = 0; I < NEntries && Rd.ok(); ++I) {
     Entries.push_back(readQueueEntry(Rd));
-  uint64_t NTop = Rd.u64();
-  if (NTop != Trace.size())
+    const QueueEntry &E = Entries.back();
+    if (!strictlyAscending(E.MapSet) || !strictlyAscending(E.EdgeSet) ||
+        (!E.MapSet.empty() && E.MapSet.back() >= MapSize) ||
+        (!E.EdgeSet.empty() && E.EdgeSet.back() >= NumEdges))
+      return false;
+  }
+  if (!Rd.ok() || NewSched.CycleEnd > Entries.size() ||
+      NewSched.CurIdx > NewSched.CycleEnd)
     return false;
-  std::vector<int32_t> TopRated(NTop);
-  for (int32_t &T : TopRated)
+  if (Rd.u64() != MapSize)
+    return false;
+  std::vector<int32_t> TopRated(MapSize);
+  for (int32_t &T : TopRated) {
     T = static_cast<int32_t>(Rd.u32());
-  bool NeedCull = Rd.u8() != 0;
+    if (T < -1 || (T >= 0 && static_cast<uint64_t>(T) >= Entries.size()))
+      return false;
+  }
+  bool NeedCull = Rd.flag();
   uint32_t PendingFavored = Rd.u32();
   uint64_t CullPasses = Rd.u64();
 
   // Telemetry section. When this fuzzer is untraced the section is still
-  // parsed (into a scratch recorder) so the trailing done() check keeps
-  // validating the whole payload.
-  if (Rd.u8() != 0) {
-    if (Tr) {
-      if (!Tr->restoreState(Rd))
-        return false;
-    } else {
-      telemetry::InstanceTrace Scratch{telemetry::TraceConfig{}};
-      if (!Scratch.restoreState(Rd))
-        return false;
-    }
-  }
-
+  // decoded so the trailing done() check keeps validating the whole
+  // payload.
+  const bool HasTrace = Rd.flag();
+  telemetry::InstanceState TraceState;
+  if (HasTrace && (!telemetry::decodeInstanceState(Rd, TraceState) ||
+                   (Tr && !Tr->canAdopt(TraceState))))
+    return false;
   if (!Rd.done())
     return false;
+
+  // Accepted: commit. The selective-mode signature cache is deliberately
+  // absent from the blob (it is pure cache: a resumed run just replays
+  // more). It must not survive the restore either — entries observed
+  // before the restore may name paths the restored virgin map has never
+  // consumed, and a stale skip would drop real novelty.
+  SeenSigs.clear();
+  R.loadState(RngState);
+  Sched = NewSched;
+  Stats = std::move(NewStats);
+  AvgStepsNum = NewAvgNum;
+  AvgStepsDen = NewAvgDen;
+  Virgin.restoreFrom(VirginBytes.data(), VirginBytes.size());
+  EdgeCovered = std::move(NewEdgeCovered);
+  EdgeCoveredCount = 0;
+  for (uint8_t B : EdgeCovered)
+    EdgeCoveredCount += (B != 0);
+  CmpDict = std::move(NewCmpDict);
+  CmpDictSet.clear();
+  CmpDictSet.insert(CmpDict.begin(), CmpDict.end());
+  Bugs.clear();
+  Bugs.insert(BugList.begin(), BugList.end());
+  Crashes = std::move(NewCrashes);
+  CrashHashes.clear();
+  for (const CrashRecord &C : Crashes)
+    CrashHashes.insert(C.StackHash);
+  Hangs = std::move(NewHangs);
+  HangHashes.clear();
+  for (const HangRecord &H : Hangs)
+    HangHashes.insert(H.InputHash);
   Q.restoreState(std::move(Entries), std::move(TopRated), NeedCull,
                  PendingFavored, CullPasses);
+  if (HasTrace && Tr)
+    Tr->adoptState(TraceState);
   return true;
 }
 

@@ -1,4 +1,4 @@
-//===- PathAfl.cpp - PathAFL comparator notes and helpers ---------------------===//
+//===- PathAfl.cpp - PathAFL comparator notes ---------------------------------===//
 //
 // Part of the pathfuzz project. Header-only; this TU anchors the library.
 //

@@ -1,4 +1,4 @@
-//===- PathAfl.h - PathAFL comparator notes and helpers ---------*- C++ -*-===//
+//===- PathAfl.h - PathAFL comparator notes ---------------------*- C++ -*-===//
 //
 // Part of the pathfuzz project.
 //
@@ -22,36 +22,14 @@
 // of a *selected* ~25% of functions, bumping a map entry per selected
 // call — a coarse, collision-prone whole-program path signal with partial
 // instrumentation, exactly PathAFL's trade-off. The `afl` configuration is
-// the same build without the assist (Appendix C compares the two).
+// the same build without the assist (Appendix C compares the two). The
+// selection predicate and the hash step are defined once, next to the VM
+// that runs them: vm::callHashSelected, vm::CallHashSeed and
+// vm::callHashStep in vm/Vm.h.
 //
 //===----------------------------------------------------------------------===//
 
 #ifndef PATHFUZZ_PATHAFL_PATHAFL_H
 #define PATHFUZZ_PATHAFL_PATHAFL_H
-
-#include "support/Rng.h"
-
-#include <cstdint>
-
-namespace pathfuzz {
-namespace pathafl {
-
-/// Whether the VM's call-path hashing considers this callee "selected"
-/// (partial instrumentation). Must match the VM's predicate; the unit
-/// tests assert the two stay in sync.
-inline bool isSelectedFunction(uint32_t FuncIndex) {
-  return (mix64(FuncIndex * 0x9e3779b97f4a7c15ULL) & 3) == 0;
-}
-
-/// Initial value of the rolling call-path hash (must match the VM).
-inline constexpr uint64_t callHashSeed() { return 0x50a7af1dULL; }
-
-/// Rolling hash step applied per selected call event (must match the VM).
-inline uint64_t callHashStep(uint64_t Hash, uint32_t Callee) {
-  return mix64(Hash ^ (Callee + 0x517cc1b727220a95ULL));
-}
-
-} // namespace pathafl
-} // namespace pathfuzz
 
 #endif // PATHFUZZ_PATHAFL_PATHAFL_H

@@ -79,6 +79,23 @@ std::string compactJson(const std::string &Line) {
   return Out;
 }
 
+/// An optional unsigned field of a compacted request line: absent leaves
+/// Out unchanged; present must be a plain decimal in u64 range ending at
+/// the value delimiter. A string, a sign, a fraction or an overflowing
+/// value is malformed, never a default or a wrapped number.
+bool optionalU64(const std::string &Line, const char *Key, uint64_t &Out) {
+  const std::string Needle = std::string("\"") + Key + "\":";
+  const size_t Value = Line.find(Needle);
+  if (Value == std::string::npos)
+    return true;
+  size_t End = Value + Needle.size();
+  while (End < Line.size() && Line[End] >= '0' && Line[End] <= '9')
+    ++End;
+  if (End >= Line.size() || (Line[End] != ',' && Line[End] != '}'))
+    return false;
+  return telemetry::jsonU64(Line, Key, Out);
+}
+
 } // namespace
 
 bool validTenantName(const std::string &Tenant) {
@@ -137,12 +154,15 @@ bool parseRequest(const std::string &RawLine, Request &R, std::string &Err) {
     if (!telemetry::jsonStr(Line, "subject", R.Subject))
       return fail(Err, "submit requires \"subject\"");
     telemetry::jsonStr(Line, "fuzzer", R.Fuzzer); // default pcguard
-    telemetry::jsonU64(Line, "seed", R.Seed);
-    telemetry::jsonU64(Line, "budget", R.Budget);
+    uint64_t Trace = 1;
+    if (!optionalU64(Line, "seed", R.Seed))
+      return fail(Err, "\"seed\" must be an unsigned 64-bit integer");
+    if (!optionalU64(Line, "budget", R.Budget))
+      return fail(Err, "\"budget\" must be an unsigned 64-bit integer");
+    if (!optionalU64(Line, "trace", Trace))
+      return fail(Err, "\"trace\" must be an unsigned 64-bit integer");
     if (R.Budget == 0)
       return fail(Err, "budget must be positive");
-    uint64_t Trace = 1;
-    telemetry::jsonU64(Line, "trace", Trace);
     R.TraceWanted = Trace != 0;
     return true;
   }
@@ -174,46 +194,13 @@ bool parseRequest(const std::string &RawLine, Request &R, std::string &Err) {
   return fail(Err, "unknown verb");
 }
 
-std::string jsonEscape(const std::string &Raw) {
-  std::string Out;
-  Out.reserve(Raw.size() + 8);
-  for (char C : Raw) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
-}
-
 ReplyBuilder &ReplyBuilder::field(const char *Key, const std::string &Value) {
   if (!Body.empty())
     Body += ',';
   Body += '"';
   Body += Key;
   Body += "\":\"";
-  Body += jsonEscape(Value);
+  Body += telemetry::jsonEscape(Value);
   Body += '"';
   return *this;
 }

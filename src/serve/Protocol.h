@@ -104,10 +104,6 @@ std::string campaignId(const std::string &Tenant, const std::string &Subject,
 /// "--" separator or an invalid tenant.
 bool tenantOfId(const std::string &Id, std::string &Tenant);
 
-/// Minimal JSON string escaping for reply fields (quotes, backslashes,
-/// control characters) — the inverse of telemetry::jsonStr's unescape.
-std::string jsonEscape(const std::string &Raw);
-
 /// One-object reply line assembler with deterministic field order (the
 /// order of the field() calls).
 class ReplyBuilder {

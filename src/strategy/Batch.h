@@ -73,8 +73,8 @@ struct BatchStats {
   size_t Threads = 1;             ///< worker threads used
   size_t SubjectsCompiled = 0;    ///< front-end compilations performed
   size_t ModulesInstrumented = 0; ///< instrumentation passes performed
-  size_t ImagesPredecoded = 0;    ///< VM fast-path images decoded
-  size_t ImageCacheHits = 0;      ///< fast-path image reuses across trials
+  size_t ImagesPredecoded = 0;    ///< VM images decoded (JIT input)
+  size_t ImageCacheHits = 0;      ///< image reuses across trials
   size_t JobsFailed = 0;          ///< jobs that exhausted their attempts
   size_t JobsRetried = 0;         ///< jobs that needed more than one attempt
   size_t JobsDrained = 0;         ///< jobs stopped by a graceful drain

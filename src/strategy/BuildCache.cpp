@@ -111,11 +111,12 @@ SubjectBuild::tryInstrumented(instr::Feedback Mode, const CampaignOptions &Opts,
       }
     }
   }
-  // The pre-decoded fast-path image rides the same cache slot as the
-  // instrumented module: decoded at most once per (feedback, placement,
-  // map size) and shared read-only by every trial's Vm. Checked on the
-  // cache-hit path too, so a campaign that enables the fast path can add
-  // the image to a slot instrumented while the fast path was off.
+  // The pre-decoded image, the JIT's input, rides the same cache slot as
+  // the instrumented module: decoded at most once per (feedback,
+  // placement, map size) and shared read-only by every trial's Vm, and
+  // only when the JIT will run. Checked on the cache-hit path too, so a
+  // JIT campaign can add the image to a slot instrumented while the JIT
+  // was off.
   if (vm::fastPathEnabled(Opts.VmMode)) {
     if (!Slot->Image) {
       Slot->Image = std::make_unique<vm::ProgramImage>(

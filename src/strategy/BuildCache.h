@@ -50,16 +50,16 @@ namespace strategy {
 struct InstrumentedBuild {
   mir::Module Mod;
   instr::InstrumentReport Report;
-  /// Pre-decoded VM image of Mod (the fast-path executor's input; see
-  /// vm/Image.h), built once alongside the instrumentation when the fast
-  /// path is enabled and shared read-only by every trial's Vm. Null when
-  /// every campaign that touched this slot ran with the fast path off.
+  /// Pre-decoded VM image of Mod (the JIT's input; see vm/Image.h), built
+  /// once alongside the instrumentation when the JIT engine is enabled and
+  /// shared read-only by every trial's Vm. Null when every campaign that
+  /// touched this slot ran on the interpreter.
   std::unique_ptr<vm::ProgramImage> Image;
   /// Probe-free twin of Image for the selective mode's cheap tier: same
   /// module, same PC layout, probe slots rewritten to no-ops from an
   /// audited elision plan (instrument/Elide.h). Built lazily alongside
-  /// Image when a campaign resolves to selective + fast-path execution;
-  /// null otherwise.
+  /// Image when a campaign resolves to selective + JIT execution; null
+  /// otherwise.
   std::unique_ptr<vm::ProgramImage> CheapImage;
   /// Native compilations of Image / CheapImage (vm/jit/Jit.h), built once
   /// alongside them when a campaign resolves to the JIT engine and shared
@@ -118,9 +118,9 @@ public:
   /// Instrumentation passes run so far on this subject.
   size_t instrumentCount() const;
 
-  /// Fast-path image decodes performed / avoided on this subject:
-  /// tryInstrumented builds the image at most once per cache slot and
-  /// counts every later fast-path request as a hit.
+  /// Image decodes performed / avoided on this subject: tryInstrumented
+  /// builds the image at most once per cache slot and counts every later
+  /// request that needs it (a JIT campaign) as a hit.
   size_t imageBuilds() const;
   size_t imageHits() const;
 

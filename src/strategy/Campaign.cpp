@@ -208,6 +208,8 @@ CampaignResult readCampaignResult(ByteReader &Rd) {
   R.FinalQueueSize = Rd.u64();
   R.TotalCrashes = Rd.u64();
   R.TotalHangs = Rd.u64();
+  // The three hash sets are written in set order; any other order or a
+  // duplicate would not re-serialize to the same bytes.
   std::vector<uint64_t> Crash = Rd.vecU64();
   R.CrashHashes.insert(Crash.begin(), Crash.end());
   std::vector<uint64_t> Hang = Rd.vecU64();
@@ -215,9 +217,9 @@ CampaignResult readCampaignResult(ByteReader &Rd) {
   std::vector<uint64_t> Bug = Rd.vecU64();
   R.BugIds.insert(Bug.begin(), Bug.end());
   R.EdgeSet = Rd.vecU32();
-  // Edge sets feed std::set_union, whose precondition is sorted input.
-  if (std::adjacent_find(R.EdgeSet.begin(), R.EdgeSet.end(),
-                         std::greater_equal<uint32_t>()) != R.EdgeSet.end())
+  // Edge sets also feed std::set_union, whose precondition is sorted input.
+  if (!strictlyAscending(Crash) || !strictlyAscending(Hang) ||
+      !strictlyAscending(Bug) || !strictlyAscending(R.EdgeSet))
     Rd.invalidate();
   uint64_t NGrowth = Rd.u64();
   if (NGrowth > Rd.remaining() / 16) {
@@ -450,21 +452,18 @@ fuzz::FuzzerOptions phaseOptions(SubjectBuild &SB, const InstrumentedBuild &B,
   FO.StopRequest = Opts.StopRequest;
   if (Opts.WatchdogExecLimit > ExecOffset)
     FO.ExecHardLimit = Opts.WatchdogExecLimit - ExecOffset;
-  // VM fast path: hand every instance the build's shared pre-decoded
-  // image. Gated on the mode (not just image presence) so a forced
-  // Interpreter campaign ignores an image a previous fast-path campaign
-  // left in the shared cache slot.
-  if (vm::fastPathEnabled(Opts.VmMode))
+  // JIT engine: hand every instance the build's shared pre-decoded image
+  // and the native program compiled from it. Gated on the mode (not just
+  // pointer presence) so a forced Interpreter campaign ignores what a
+  // previous JIT campaign left in the shared cache slot.
+  if (vm::jitEnabled(Opts.VmMode)) {
     FO.Image = B.Image.get();
-  // JIT engine: hand over the build's shared native program the same way.
-  // Gated on the resolved mode, not pointer presence, for the same
-  // reason as the image above.
-  if (vm::jitEnabled(Opts.VmMode))
     FO.Jit = B.Jit.get();
+  }
   // Selective (two-tier) execution: byte-identical results either way,
   // so the knob is resolved per campaign exactly like the engine choice.
   // The cheap image is only present when the build cache ran under a
-  // selective + fast-path resolution; a null CheapImage falls back to the
+  // selective + JIT resolution; a null CheapImage falls back to the
   // interpreter cheap tier inside the fuzzer.
   if (vm::selectiveEnabled(Opts.Selective)) {
     FO.Selective = true;

@@ -153,10 +153,10 @@ struct CampaignOptions {
   telemetry::TraceConfig Trace;
 
   /// VM execution engine. Auto (the default) follows the
-  /// PATHFUZZ_VM_ENGINE environment knob (interp, fastpath or jit; jit
-  /// when unset); Interpreter/FastPath/Jit force one engine regardless of
-  /// the environment (Jit falls back to the fast path on unsupported
-  /// platforms — see vm::jitEnabled). All engines produce bit-identical
+  /// PATHFUZZ_VM_ENGINE environment knob (interp or jit; jit when unset);
+  /// Interpreter/Jit force one engine regardless of the environment (Jit
+  /// falls back to the interpreter on unsupported platforms — see
+  /// vm::jitEnabled). Both engines produce bit-identical
   /// campaign results — they only change per-exec cost — so, like the
   /// robustness knobs above, this is excluded from the checkpoint
   /// fingerprint: a run checkpointed under one engine may be resumed

@@ -15,8 +15,10 @@
 #ifndef PATHFUZZ_SUPPORT_BYTES_H
 #define PATHFUZZ_SUPPORT_BYTES_H
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -98,6 +100,14 @@ public:
     return V;
   }
   int64_t i64() { return static_cast<int64_t>(u64()); }
+  /// A bool written as u8: 0 or 1, anything else latches the reader
+  /// failed (it would not re-serialize to the same byte).
+  bool flag() {
+    uint8_t V = u8();
+    if (V > 1)
+      OkFlag = false;
+    return V == 1;
+  }
   bool bytes(void *Out, size_t N) { return copy(Out, N); }
   std::vector<uint8_t> blob() {
     uint64_t N = u64();
@@ -188,6 +198,14 @@ private:
   const uint8_t *End;
   bool OkFlag = true;
 };
+
+/// Whether V is strictly ascending: the canonical serialized form of a
+/// set (sorted, no duplicates). Decoders of set-valued fields reject any
+/// other order, which would not re-serialize to the same bytes.
+template <typename T> bool strictlyAscending(const std::vector<T> &V) {
+  return std::adjacent_find(V.begin(), V.end(), std::greater_equal<T>()) ==
+         V.end();
+}
 
 } // namespace pathfuzz
 

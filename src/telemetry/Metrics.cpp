@@ -32,29 +32,62 @@ void MetricsRegistry::serialize(ByteWriter &W) const {
   }
 }
 
-bool MetricsRegistry::deserialize(ByteReader &R) {
-  uint64_t NCounters = R.u64();
-  for (uint64_t I = 0; I < NCounters && R.ok(); ++I) {
+namespace {
+
+/// One family of deserialize(): N (name, value) pairs, names strictly
+/// ascending. Values land in existing nodes where present.
+template <typename MapT, typename ReadFn>
+bool readFamily(ByteReader &R, MapT &Out, ReadFn ReadValue) {
+  uint64_t N = R.u64();
+  std::string Prev;
+  for (uint64_t I = 0; I < N && R.ok(); ++I) {
     std::string Name = R.str();
-    Counters[Name] = R.u64();
-  }
-  uint64_t NGauges = R.u64();
-  for (uint64_t I = 0; I < NGauges && R.ok(); ++I) {
-    std::string Name = R.str();
-    Gauges[Name] = R.i64();
-  }
-  uint64_t NHists = R.u64();
-  for (uint64_t I = 0; I < NHists && R.ok(); ++I) {
-    std::string Name = R.str();
-    Histogram &H = Histograms[Name];
-    H.Count = R.u64();
-    H.Sum = R.u64();
-    H.Min = R.u64();
-    H.Max = R.u64();
-    for (uint64_t &B : H.Buckets)
-      B = R.u64();
+    if (I > 0 && !(Prev < Name))
+      return false;
+    ReadValue(Out[Name]);
+    Prev = std::move(Name);
   }
   return R.ok();
+}
+
+template <typename MapT>
+bool holdsObservable(const MapT &Have, const MapT &Src) {
+  for (const auto &KV : Have)
+    if (!isEngineLocalMetric(KV.first) && !Src.count(KV.first))
+      return false;
+  return true;
+}
+
+template <typename MapT> void assignFamily(MapT &Dst, const MapT &Src) {
+  for (const auto &KV : Src)
+    Dst[KV.first] = KV.second;
+}
+
+} // namespace
+
+bool MetricsRegistry::deserialize(ByteReader &R) {
+  return readFamily(R, Counters, [&R](uint64_t &V) { V = R.u64(); }) &&
+         readFamily(R, Gauges, [&R](int64_t &V) { V = R.i64(); }) &&
+         readFamily(R, Histograms, [&R](Histogram &H) {
+           H.Count = R.u64();
+           H.Sum = R.u64();
+           H.Min = R.u64();
+           H.Max = R.u64();
+           for (uint64_t &B : H.Buckets)
+             B = R.u64();
+         });
+}
+
+bool MetricsRegistry::canAdopt(const MetricsRegistry &Src) const {
+  return holdsObservable(Counters, Src.Counters) &&
+         holdsObservable(Gauges, Src.Gauges) &&
+         holdsObservable(Histograms, Src.Histograms);
+}
+
+void MetricsRegistry::adopt(const MetricsRegistry &Src) {
+  assignFamily(Counters, Src.Counters);
+  assignFamily(Gauges, Src.Gauges);
+  assignFamily(Histograms, Src.Histograms);
 }
 
 bool operator==(const MetricsRegistry &A, const MetricsRegistry &B) {
@@ -67,7 +100,8 @@ bool isEngineLocalMetric(const std::string &Name) {
   // place such families are spelled: the identity tests and the report
   // tooling all route through here.
   static const char *const Prefixes[] = {
-      "vm.fastpath.",  // snapshot-reset/image accounting of the fast path
+      "vm.fastpath.",  // image/snapshot-reset accounting of the JIT engine
+                       // (the name predates the JIT)
       "vm.selective.", // two-tier skip/replay accounting
       "vm.jit.",       // native-code compile/exec/bailout accounting: how
                        // executions were served, never what they computed

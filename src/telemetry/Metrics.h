@@ -98,11 +98,26 @@ public:
 
   /// Deterministic (name-sorted) serialization.
   void serialize(ByteWriter &W) const;
-  /// In-place restore: values land in existing nodes where present, so
-  /// pointers handed out by counter()/gauge()/histogram() stay live and
-  /// correct. Returns false on malformed input (registry then holds a
-  /// partial restore; callers discard it).
+  /// In-place decode of a serialize() section: values land in existing
+  /// nodes where present, so pointers handed out by counter()/gauge()/
+  /// histogram() stay live and correct. Names must be strictly ascending
+  /// within each family — the order serialize() writes — so an accepted
+  /// section decoded into an empty registry re-serializes to the same
+  /// bytes. Returns false on malformed input (the registry then holds a
+  /// partial decode; callers discard it, or decode into a scratch
+  /// registry and adopt() it).
   bool deserialize(ByteReader &R);
+
+  /// Whether adopt(Src) keeps every pointer handed out so far meaningful:
+  /// Src carries each observable (not engine-local) series this registry
+  /// holds. Engine-local series may be missing — a snapshot taken under
+  /// another engine configuration legitimately lacks them.
+  bool canAdopt(const MetricsRegistry &Src) const;
+  /// Take Src's series and values in place: values land in existing
+  /// nodes where present, so pointers handed out by counter()/gauge()/
+  /// histogram() stay live. Series Src lacks (engine-local ones, given
+  /// canAdopt) keep their current values.
+  void adopt(const MetricsRegistry &Src);
 
 private:
   std::map<std::string, uint64_t> Counters;
@@ -113,13 +128,14 @@ private:
 bool operator==(const MetricsRegistry &A, const MetricsRegistry &B);
 
 /// Whether a metric name belongs to an *engine-local* family: series that
-/// describe how the execution engine ran (vm.fastpath.* snapshot-reset
-/// accounting, vm.selective.* two-tier replay accounting, store.* durable
-/// checkpoint/recovery accounting) rather than what the campaign
-/// observed. The byte-identity contract — interpreter vs fast
-/// path, selective vs always-instrumented, resumed vs uninterrupted —
-/// covers every other metric; engine-local families legitimately differ
-/// across those settings and must be excluded from equality comparisons.
+/// describe how the execution engine ran (vm.fastpath.* image and
+/// snapshot-reset accounting of the JIT engine, vm.selective.* two-tier
+/// replay accounting, store.* durable checkpoint/recovery accounting)
+/// rather than what the campaign observed. The byte-identity contract —
+/// interpreter vs JIT, selective vs always-instrumented, resumed vs
+/// uninterrupted — covers every other metric; engine-local families
+/// legitimately differ across those settings and must be excluded from
+/// equality comparisons.
 /// This is the single definition the identity tests share, so a new
 /// engine-local family added here cannot silently break them.
 bool isEngineLocalMetric(const std::string &Name);

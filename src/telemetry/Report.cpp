@@ -8,6 +8,7 @@
 
 #include "telemetry/Export.h"
 
+#include <cstdio>
 #include <map>
 #include <sstream>
 #include <tuple>
@@ -101,7 +102,10 @@ bool jsonU64(const std::string &Line, const std::string &Key, uint64_t &Out) {
   uint64_t V = 0;
   size_t Digits = 0;
   while (At < Line.size() && Line[At] >= '0' && Line[At] <= '9') {
-    V = V * 10 + (Line[At] - '0');
+    const uint64_t D = static_cast<uint64_t>(Line[At] - '0');
+    if (V > (UINT64_MAX - D) / 10)
+      return false; // above UINT64_MAX: out of range, not a wrapped value
+    V = V * 10 + D;
     ++At;
     ++Digits;
   }
@@ -132,6 +136,25 @@ bool jsonStr(const std::string &Line, const std::string &Key,
       case 'r':
         V += '\r';
         break;
+      case 'u': {
+        // jsonEscape writes control characters as \u00XX; read back the
+        // ASCII range, refuse anything wider (no UTF-8 encoding here).
+        unsigned Code = 0;
+        for (int K = 0; K < 4; ++K) {
+          const char H = ++At < Line.size() ? Line[At] : '\0';
+          const int Nibble = H >= '0' && H <= '9'   ? H - '0'
+                             : H >= 'a' && H <= 'f' ? H - 'a' + 10
+                             : H >= 'A' && H <= 'F' ? H - 'A' + 10
+                                                    : -1;
+          if (Nibble < 0)
+            return false;
+          Code = Code * 16 + static_cast<unsigned>(Nibble);
+        }
+        if (Code > 0x7f)
+          return false;
+        V += static_cast<char>(Code);
+        break;
+      }
       default:
         V += E; // \" and \\ (and anything else, verbatim)
       }
@@ -144,6 +167,39 @@ bool jsonStr(const std::string &Line, const std::string &Key,
     return false; // unterminated string
   Out = V;
   return true;
+}
+
+std::string jsonEscape(const std::string &Raw) {
+  std::string Out;
+  Out.reserve(Raw.size());
+  for (char C : Raw) {
+    switch (C) {
+    case '"':
+      Out += "\\\"";
+      break;
+    case '\\':
+      Out += "\\\\";
+      break;
+    case '\n':
+      Out += "\\n";
+      break;
+    case '\t':
+      Out += "\\t";
+      break;
+    case '\r':
+      Out += "\\r";
+      break;
+    default:
+      if (static_cast<unsigned char>(C) < 0x20) {
+        char Buf[8];
+        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
+        Out += Buf;
+      } else {
+        Out += C;
+      }
+    }
+  }
+  return Out;
 }
 
 std::string queueCsvFromJsonl(const std::string &Jsonl) {

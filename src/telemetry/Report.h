@@ -29,12 +29,19 @@ namespace pathfuzz {
 namespace telemetry {
 
 /// Extract an unsigned field from one flat JSON line. False when the key
-/// is absent or not a number.
+/// is absent, not a number, or above UINT64_MAX.
 bool jsonU64(const std::string &Line, const std::string &Key, uint64_t &Out);
 
-/// Extract a string field (unescaping \" \\ \n \t \r).
+/// Extract a string field (unescaping \" \\ \n \t \r and \u00XX). False
+/// when the key is absent, the value is not a terminated string, or a
+/// \u escape is malformed or names a code point above 0xff.
 bool jsonStr(const std::string &Line, const std::string &Key,
              std::string &Out);
+
+/// Minimal JSON string escaping (quotes, backslashes, control characters
+/// as \n \t \r or \u00XX) — the inverse of jsonStr's unescape. Bytes of
+/// 0x80 and above pass through verbatim.
+std::string jsonEscape(const std::string &Raw);
 
 /// Queue-trajectory CSV ("subject,fuzzer,seed,execs,queue") rebuilt from
 /// sample lines. Byte-identical to Export's queueTrajectoryCsv over the

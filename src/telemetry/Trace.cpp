@@ -190,19 +190,22 @@ void InstanceTrace::serializeState(ByteWriter &W) const {
   Metrics.serialize(W);
 }
 
-bool InstanceTrace::restoreState(ByteReader &R) {
+bool decodeInstanceState(ByteReader &R, InstanceState &Out) {
   if (R.u8() != TraceFormatVersion) {
     R.invalidate();
     return false;
   }
-  std::vector<Event> Events = readEvents(R);
-  uint64_t Recorded = R.u64();
-  std::vector<Sample> NewSamples = readSamples(R);
-  if (!Metrics.deserialize(R) || !R.ok())
-    return false;
-  Ring.restore(Events, Recorded);
-  Samples = std::move(NewSamples);
-  return true;
+  Out.Events = readEvents(R);
+  Out.Recorded = R.u64();
+  Out.Samples = readSamples(R);
+  return Out.Metrics.deserialize(R) && R.ok() &&
+         Out.Recorded >= Out.Events.size();
+}
+
+void InstanceTrace::adoptState(const InstanceState &S) {
+  Ring.restore(S.Events, S.Recorded);
+  Samples = S.Samples;
+  Metrics.adopt(S.Metrics);
 }
 
 void collectInstance(CampaignTrace &T, std::string Label, uint64_t ExecOffset,

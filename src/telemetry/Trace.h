@@ -91,6 +91,21 @@ struct Sample {
 
 bool operator==(const Sample &A, const Sample &B);
 
+/// A decoded InstanceTrace::serializeState() section (the snapshot
+/// "metrics section"), validated but not yet applied to a recorder.
+struct InstanceState {
+  std::vector<Event> Events;
+  uint64_t Recorded = 0;
+  std::vector<Sample> Samples;
+  MetricsRegistry Metrics;
+};
+
+/// Decode a serializeState() section. False on malformed, version-unknown
+/// or non-canonical input (out-of-order metric names, fewer recorded
+/// events than held ones) — anything that would not re-serialize to the
+/// same bytes.
+bool decodeInstanceState(ByteReader &R, InstanceState &Out);
+
 /// One fuzzer instance's recorder. Single-writer; the owning fuzzer is
 /// the only mutator (see Telemetry.h for the sharding story).
 class InstanceTrace {
@@ -124,9 +139,13 @@ public:
   /// Serialize the mutable state (ring, samples, metrics) — the snapshot
   /// "metrics section". Versioned independently of the snapshot envelope.
   void serializeState(ByteWriter &W) const;
-  /// Restore state written by serializeState. Returns false on malformed
-  /// or version-unknown input without guaranteeing partial effects.
-  bool restoreState(ByteReader &R);
+  /// Whether adoptState(S) keeps this recorder's handed-out metric
+  /// pointers meaningful (MetricsRegistry::canAdopt).
+  bool canAdopt(const InstanceState &S) const {
+    return Metrics.canAdopt(S.Metrics);
+  }
+  /// Replace the ring, samples and metrics with S. Requires canAdopt(S).
+  void adoptState(const InstanceState &S);
 
 private:
   TraceConfig Cfg;

@@ -9,7 +9,7 @@
 #include "instrument/Elide.h"
 #include "instrument/ShadowEdges.h"
 #include "support/Env.h"
-#include "support/Rng.h"
+#include "vm/Vm.h"
 #include "vm/jit/Jit.h"
 
 #include <cassert>
@@ -19,32 +19,22 @@ namespace vm {
 
 namespace {
 
-/// The engine Mode names, with Auto resolved through PATHFUZZ_VM_ENGINE
-/// ("interp", "fastpath" or "jit"; unset or anything else means jit).
-/// Re-read on every Auto query (not once into a static): it is consulted
-/// once per instrumented build, and tests flip the knob at runtime to pit
-/// the engines against each other.
-VmExecMode resolveEngine(VmExecMode Mode) {
+/// Whether Mode names the JIT, with Auto resolved through
+/// PATHFUZZ_VM_ENGINE ("interp" or "jit"; unset or anything else means
+/// jit). Re-read on every Auto query (not once into a static): it is
+/// consulted once per instrumented build, and tests flip the knob at
+/// runtime to pit the engines against each other.
+bool wantsJit(VmExecMode Mode) {
   if (Mode != VmExecMode::Auto)
-    return Mode;
-  std::string Engine = envStr("PATHFUZZ_VM_ENGINE", "jit");
-  if (Engine == "interp")
-    return VmExecMode::Interpreter;
-  if (Engine == "fastpath")
-    return VmExecMode::FastPath;
-  return VmExecMode::Jit;
+    return Mode == VmExecMode::Jit;
+  return envStr("PATHFUZZ_VM_ENGINE", "jit") != "interp";
 }
 
 } // namespace
 
-bool fastPathEnabled(VmExecMode Mode) {
-  // The JIT engine runs on top of the image.
-  return resolveEngine(Mode) != VmExecMode::Interpreter;
-}
+bool jitEnabled(VmExecMode Mode) { return wantsJit(Mode) && jit::available(); }
 
-bool jitEnabled(VmExecMode Mode) {
-  return resolveEngine(Mode) == VmExecMode::Jit && jit::available();
-}
+bool fastPathEnabled(VmExecMode Mode) { return jitEnabled(Mode); }
 
 bool selectiveEnabled(SelectiveMode Mode) {
   switch (Mode) {
@@ -55,7 +45,7 @@ bool selectiveEnabled(SelectiveMode Mode) {
   case SelectiveMode::Auto:
     break;
   }
-  // Same contract as resolveEngine: re-read the environment on every
+  // Same contract as wantsJit: re-read the environment on every
   // Auto query so tests can flip the knob at runtime.
   return envBool("PATHFUZZ_SELECTIVE", true);
 }
@@ -96,7 +86,7 @@ ProgramImage ProgramImage::build(const mir::Module &M,
 
   // Pass 2: decode. Every slot also gets its PcInfo: the reference
   // interpreter's (function, block, probe-free index) for a frame whose
-  // InstrIdx names this slot. The executor reads PcInfo at the *current*
+  // InstrIdx names this slot. The JIT reads PcInfo at the *current*
   // (already advanced) PC on a fault, which lands on the slot after the
   // faulting instruction — in the same block, with a Norm that includes
   // the faulting instruction — reproducing Vm.cpp's normalizedIdx() over
@@ -189,7 +179,7 @@ ProgramImage ProgramImage::build(const mir::Module &M,
           D.Y = In.Callee;
           // The PathAFL "is this callee selected" hash depends only on the
           // callee index; fold it to a flag bit.
-          if ((mix64(In.Callee * 0x9e3779b97f4a7c15ULL) & 3) == 0)
+          if (callHashSelected(In.Callee))
             D.Flags |= DInstr::FlagCallSelected;
           break;
         }
@@ -269,60 +259,6 @@ ProgramImage ProgramImage::build(const mir::Module &M,
   }
   assert(P.Code.size() == NextPC && P.Pc.size() == NextPC &&
          "layout / decode disagree on slot count");
-
-  // Fusion post-pass: rewrite a comparison Bin/BinImm immediately followed
-  // by the CondBr it feeds into a two-slot superinstruction (the CondBr
-  // slot is left intact as the fused handler's operand block). Soundness:
-  // a Bin at Code[i-1] is by construction a regular slot of the *same*
-  // block as the CondBr terminator at Code[i] (block terminators are never
-  // Bin), and branch/call targets only ever name block-start PCs, so no
-  // control transfer can land on the consumed CondBr slot. Comparisons
-  // cannot fault, so the only mid-pair observable — a step-limit trip
-  // between the two — is replayed exactly by the handler's second check.
-  auto isCmp = [](mir::BinOp Op) {
-    switch (Op) {
-    case mir::BinOp::Eq:
-    case mir::BinOp::Ne:
-    case mir::BinOp::Lt:
-    case mir::BinOp::Le:
-    case mir::BinOp::Gt:
-    case mir::BinOp::Ge:
-      return true;
-    default:
-      return false;
-    }
-  };
-  for (size_t I = 1; I < P.Code.size(); ++I) {
-    if (P.Code[I].Op != DOp::CondBr)
-      continue;
-    DInstr &Prev = P.Code[I - 1];
-    if ((Prev.Op == DOp::Bin || Prev.Op == DOp::BinImm) && isCmp(Prev.BOp) &&
-        Prev.A == P.Code[I].A)
-      Prev.Op = Prev.Op == DOp::Bin ? DOp::BinBr : DOp::BinImmBr;
-  }
-
-  // Chain-fusion pass: rewrite the first op of the remaining hot pairs so
-  // its handler jumps straight to the (statically known) handler of the
-  // next slot instead of through the indirect dispatch. The second slot
-  // still executes verbatim from the stream, so — unlike the inline pass
-  // above — adjacency is the *only* condition. Runs after the inline pass
-  // because Const must chain to BinBr where that rewrite happened.
-  for (size_t I = 0; I + 1 < P.Code.size(); ++I) {
-    const DOp Next = P.Code[I + 1].Op;
-    DInstr &D = P.Code[I];
-    if (D.Op == DOp::Const) {
-      if (Next == DOp::Bin)
-        D.Op = DOp::ConstBin;
-      else if (Next == DOp::BinBr)
-        D.Op = DOp::ConstBinBr;
-      else if (Next == DOp::CondBr)
-        D.Op = DOp::ConstCondBr;
-    } else if (D.Op == DOp::PathAdd && Next == DOp::Br) {
-      D.Op = DOp::PathAddBr;
-    } else if (D.Op == DOp::PathFlushRet && Next == DOp::Ret) {
-      D.Op = DOp::FlushRetRet;
-    }
-  }
 
   // Globals: materialize the pristine cell image once, exactly as the
   // reference interpreter does per execution (Init prefix, zero tail).

@@ -10,14 +10,15 @@
 // dependent loads and a vector bounds dance before the opcode switch even
 // begins. For a fuzzing campaign that executes the same module millions of
 // times, all of that work is loop-invariant — so the ProgramImage hoists
-// it to decode time, once per (subject, feedback mode):
+// it to decode time, once per (subject, feedback mode), into the form the
+// JIT compiles (vm/jit/Jit.h):
 //
 //  - every instruction of every block is lowered into one flat, 32-byte,
 //    pointer-free DInstr in a single contiguous array; a "program counter"
 //    is just an index into it;
 //  - block boundaries disappear: terminators become explicit decoded
 //    branch ops whose successor *PCs* are resolved, so taking an edge is
-//    one store to the PC instead of a block-object lookup;
+//    one jump to a PC label instead of a block-object lookup;
 //  - per-terminator shadow-edge IDs (instr::ShadowEdgeIndex lookups) are
 //    resolved at decode time, including the UINT32_MAX "trampoline, skip"
 //    sentinel;
@@ -28,14 +29,15 @@
 //    interpreter's (function, block, *probe-free* instruction index)
 //    coordinates, so fault records and stack hashes are bit-identical to
 //    the reference interpreter's without re-deriving anything at fault
-//    time.
+//    time;
+//  - the pristine global cells are materialized once, the source of the
+//    JIT engine's snapshot reset between executions (jit/Run.cpp).
 //
 // The image is immutable after build() and carries no pointers into the
 // module it was decoded from, so one image is safely shared read-only by
 // any number of Vm instances across threads (the build cache does exactly
-// that, one image per instrumented build). Executing it is Vm::run's fast
-// path, see Exec.cpp; identity with the reference interpreter is pinned
-// by tests/VmFastPathTest.cpp.
+// that, one image per instrumented build). Identity of the compiled image
+// with the reference interpreter is pinned by tests/VmJitTest.cpp.
 //
 //===----------------------------------------------------------------------===//
 
@@ -55,8 +57,7 @@ struct ElisionPlan;
 namespace vm {
 
 /// Decoded opcodes: the mir::Opcode set with terminators folded in as
-/// explicit ops. The enum is dense from 0 so a computed-goto jump table
-/// indexes it directly.
+/// explicit ops.
 enum class DOp : uint8_t {
   Const,
   Move,
@@ -82,27 +83,6 @@ enum class DOp : uint8_t {
   CondBr,
   Switch,
   Ret,
-  /// Superinstructions: a comparison Bin/BinImm whose result feeds the
-  /// CondBr in the very next slot (same register, same block). The decoder
-  /// rewrites the *comparison* slot's opcode; the CondBr slot stays in
-  /// place unchanged — the fused handler consumes it inline, so the PC
-  /// layout, PcInfo table and step accounting are identical to the
-  /// unfused stream. Comparisons cannot fault, which is what makes the
-  /// pairing safe.
-  BinBr,
-  BinImmBr,
-  /// Chain superinstructions: the first op's handler runs, then jumps
-  /// *directly* to the statically-known handler of the very next slot
-  /// instead of going through the indirect dispatch — the second slot is
-  /// re-fetched and executed verbatim, so no operand conditions apply and
-  /// step accounting / fault coordinates are unchanged. These cover the
-  /// hottest dynamic pairs (a constant feeding an ALU op or branch, a
-  /// path probe before its block's terminator).
-  PathAddBr,     ///< PathAdd, then the Br terminator behind it
-  FlushRetRet,   ///< PathFlushRet probe, then its Ret terminator
-  ConstCondBr,   ///< Const, then a CondBr terminator
-  ConstBin,      ///< Const, then a (non-fused) Bin
-  ConstBinBr,    ///< Const, then a fused BinBr pair
   /// An elided probe slot in a selective ("cheap") image: consumes its
   /// step and does nothing else. Probe slots are rewritten in place — not
   /// removed — so the PC layout, PcInfo table, step accounting and
@@ -110,7 +90,6 @@ enum class DOp : uint8_t {
   /// to the fully instrumented one.
   Nop,
 };
-inline constexpr unsigned NumDOps = static_cast<unsigned>(DOp::Nop) + 1;
 
 /// One decoded instruction slot. Exactly 32 bytes, two per cache line.
 /// Field meaning is per-op (register operands keep the reference names):
@@ -130,8 +109,6 @@ inline constexpr unsigned NumDOps = static_cast<unsigned>(DOp::Nop) + 1;
 ///                per-function map key)
 ///   PathFlushBack as PathFlushRet, plus X=constPool() index of the
 ///                path-register reset value (mir Imm2)
-///   BinBr/BinImmBr fields as Bin/BinImm; branch operands live in the
-///                adjacent CondBr slot, which the fused handler reads
 ///   everything else matches the mir::Instr it was decoded from.
 struct DInstr {
   DOp Op = DOp::Const;
@@ -187,30 +164,30 @@ struct ImageFunc {
 };
 
 /// Snapshot-reset page granularity: global cells are dirty-tracked in
-/// pages of 64 cells (512 bytes), the granularity the executor restores
+/// pages of 64 cells (512 bytes), the granularity the JIT engine restores
 /// from the pristine image between executions.
 inline constexpr unsigned SnapshotPageShift = 6;
 inline constexpr uint64_t SnapshotPageCells = 1ull << SnapshotPageShift;
 
 /// Selects the VM execution engine for campaign-level drivers. Auto
-/// resolves the PATHFUZZ_VM_ENGINE environment knob: "interp",
-/// "fastpath" or "jit" (the default, so Auto means "the fastest engine
-/// this platform supports"). Results are bit-identical across all three
-/// engines; the knob exists for benchmarking and for bisecting the
-/// engines against each other.
-enum class VmExecMode : uint8_t { Auto, Interpreter, FastPath, Jit };
-
-/// Whether Mode resolves to the pre-decoded fast path (or better: the
-/// JIT engine sits on top of it and implies it). Auto consults
-/// PATHFUZZ_VM_ENGINE on every call (tests flip it at runtime).
-bool fastPathEnabled(VmExecMode Mode);
+/// resolves the PATHFUZZ_VM_ENGINE environment knob: "interp" or "jit"
+/// (the default, so Auto means "the fastest engine this platform
+/// supports"). Results are bit-identical across both engines; the knob
+/// exists for benchmarking and for bisecting the engines against each
+/// other.
+enum class VmExecMode : uint8_t { Auto, Interpreter, Jit };
 
 /// Whether Mode resolves to the native JIT engine: Jit, or Auto under
 /// PATHFUZZ_VM_ENGINE=jit (or unset), whenever the platform supports it
-/// (jit::available). jitEnabled(Mode) implies fastPathEnabled(Mode) — the
-/// JIT needs the image for PcInfo and the snapshot reset, and executions
-/// its capacity guard rejects fall back to the fast path.
+/// (jit::available). Everywhere else the reference interpreter runs.
+/// Auto consults PATHFUZZ_VM_ENGINE on every call (tests flip it at
+/// runtime).
 bool jitEnabled(VmExecMode Mode);
+
+/// Whether Mode needs the pre-decoded image: exactly when the JIT runs,
+/// because the image is the JIT's input (PcInfo fault coordinates and the
+/// snapshot-reset pristine state). Equal to jitEnabled(Mode).
+bool fastPathEnabled(VmExecMode Mode);
 
 /// Selects the two-tier selective-instrumentation mode for campaign-level
 /// drivers (CampaignOptions::Selective). Auto resolves the
@@ -222,13 +199,6 @@ enum class SelectiveMode : uint8_t { Auto, Off, On };
 /// Whether Mode resolves to two-tier selective execution. Auto consults
 /// PATHFUZZ_SELECTIVE on every call (tests flip it at runtime).
 bool selectiveEnabled(SelectiveMode Mode);
-
-/// Whether the fast-path executor was compiled with computed-goto
-/// threaded dispatch (PATHFUZZ_THREADED_DISPATCH on a GNU-compatible
-/// compiler) rather than the portable switch loop. Informational only —
-/// the two produce bit-identical results; benchmarks record which one
-/// they measured.
-bool threadedDispatch();
 
 /// The immutable decoded form of one (instrumented) module.
 class ProgramImage {
@@ -271,7 +241,7 @@ public:
   const std::vector<uint32_t> &globalCellBases() const { return GlobalBases; }
 
   /// The module this image was decoded from (identity check only — the
-  /// executor never dereferences it).
+  /// JIT never dereferences it).
   const mir::Module *module() const { return Src; }
 
   /// Decoded footprint in bytes (code + side tables), for reporting.

@@ -19,11 +19,6 @@ namespace vm {
 
 namespace {
 
-/// Tagged pointer base: heap/global pointers are PtrBase + object index.
-/// Arithmetic-mangled pointers land outside the object table and fault as
-/// BadPointer, the wild-pointer analogue.
-constexpr int64_t PtrBase = int64_t(1) << 56;
-
 /// AFL++-style "NeverZero" saturating counter bump, marking the line.
 inline void bump(uint8_t *Map, uint8_t *LineFlags, uint32_t Index) {
   uint8_t V = static_cast<uint8_t>(Map[Index] + 1);
@@ -123,10 +118,13 @@ ExecResult Vm::run(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
   }
   if (Jp)
     return runJit(Input, Len, Opts, Fb);
-  if (Img)
-    return runImage(Input, Len, Opts, Fb);
+  return runInterp(Input, Len, Opts, Fb);
+}
+
+ExecResult Vm::runInterp(const uint8_t *Input, size_t Len,
+                         const ExecOptions &Opts, FeedbackContext *Fb) {
   // An interpreter run rebuilds Objects/Cells from scratch below, clobbering
-  // any persistent globals prefix a fast-path run may have left behind.
+  // any persistent globals prefix a JIT run may have left behind.
   GlobalsLive = false;
   ExecResult R;
 
@@ -139,7 +137,7 @@ ExecResult Vm::run(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
   uint8_t *LineFlags = Fb ? Fb->LineFlags : nullptr;
   uint32_t MapMask = Fb ? Fb->MapMask : 0;
   uint64_t PrevLoc = 0;
-  uint64_t CallHash = 0x50a7af1dULL;
+  uint64_t CallHash = CallHashSeed;
   bool RecordEdges = Opts.RecordShadowEdges && Shadow;
   const bool DoSig = Fb && Fb->PathSig;
   uint64_t Sig = 0;
@@ -436,8 +434,8 @@ ExecResult Vm::run(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
           // PathAFL-style partial whole-program path hashing: ~1/4 of
           // functions are "selected"; each selected call event extends a
           // running hash indexed into the map.
-          if ((mix64(I.Callee * 0x9e3779b97f4a7c15ULL) & 3) == 0) {
-            CallHash = mix64(CallHash ^ (I.Callee + 0x517cc1b727220a95ULL));
+          if (callHashSelected(I.Callee)) {
+            CallHash = callHashStep(CallHash, I.Callee);
             bump(Map, LineFlags,
                  static_cast<uint32_t>(CallHash) & MapMask);
           }
@@ -525,7 +523,7 @@ ExecResult Vm::run(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
     }
     // The exec-path signature hashes only *decisions*: slots of CondBr and
     // Switch. Br/Ret are forced transfers — including them would add
-    // nothing, and excluding them keeps the fast path's per-handler
+    // nothing, and excluding them keeps the JIT's per-terminator
     // accumulation sites identical to these.
     if (DoSig && T.Kind != mir::TermKind::Br)
       Sig = hashCombine(Sig, Slot);

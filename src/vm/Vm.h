@@ -57,6 +57,28 @@ struct HeapObject {
   bool Freed = false;
 };
 
+/// Tagged pointer base: heap/global pointers are PtrBase + object index.
+/// Arithmetic-mangled pointers land outside the object table and fault as
+/// BadPointer, the wild-pointer analogue.
+inline constexpr int64_t PtrBase = int64_t(1) << 56;
+
+/// PathAFL-style call-path hashing (FeedbackContext::CallPathHash; the
+/// comparator is described in pathafl/PathAfl.h): the running hash starts
+/// at CallHashSeed, and each call to a selected callee advances it with
+/// callHashStep and bumps the map entry it lands on.
+inline constexpr uint64_t CallHashSeed = 0x50a7af1dULL;
+
+/// Whether calls to Callee extend the call-path hash: about a quarter of
+/// functions are "selected", by a fixed hash of the callee index.
+inline bool callHashSelected(uint32_t Callee) {
+  return (mix64(Callee * 0x9e3779b97f4a7c15ULL) & 3) == 0;
+}
+
+/// The call-path hash after a call to the selected Callee.
+inline uint64_t callHashStep(uint64_t Hash, uint32_t Callee) {
+  return mix64(Hash ^ (Callee + 0x517cc1b727220a95ULL));
+}
+
 /// Execution outcome kinds. Everything except None and StepLimit is a
 /// crash (StepLimit is the hang/timeout analogue).
 enum class FaultKind : uint8_t {
@@ -168,18 +190,18 @@ struct ExecResult {
   /// Heap pressure of this execution (successful allocations only).
   uint64_t HeapAllocs = 0;
   uint64_t HeapCellsAllocated = 0;
-  /// Fast path only: global cells this execution dirtied (page-granular;
-  /// what the snapshot reset will restore before the next run). Always 0
-  /// on the reference interpreter — a bookkeeping observation, not part
-  /// of the execution semantics or the identity contract.
+  /// JIT only: global cells this execution dirtied (page-granular; what
+  /// the snapshot reset will restore before the next run). Always 0 on
+  /// the reference interpreter — a bookkeeping observation, not part of
+  /// the execution semantics or the identity contract.
   uint64_t DirtyGlobalCells = 0;
 
   bool crashed() const { return isCrash(TheFault.Kind); }
   bool hung() const { return TheFault.Kind == FaultKind::StepLimit; }
 };
 
-/// Cumulative snapshot-reset accounting of one fast-path Vm: how much of
-/// the global image the persistent-mode reset actually had to restore.
+/// Cumulative snapshot-reset accounting of one JIT Vm: how much of the
+/// global image the persistent-mode reset actually had to restore.
 struct ResetStats {
   uint64_t Resets = 0;          ///< dirty-page resets performed
   uint64_t DirtyPagesReset = 0; ///< pages restored from the pristine image
@@ -194,11 +216,12 @@ struct JitRunStats {
   uint64_t Bailouts = 0;  ///< of those, exits through a bail stub
                           ///< (fault or step limit — terminal by design)
   uint64_t Fallbacks = 0; ///< executions the capacity guard routed to the
-                          ///< fast-path executor instead
+                          ///< reference interpreter instead
 };
 
-/// The interpreter. One Vm per module; run() is reentrant per input and
-/// reuses internal buffers across executions for speed.
+/// The execution engine: the reference interpreter, or compiled code once
+/// a JIT program is attached. One Vm per module; run() is reentrant per
+/// input and reuses internal buffers across executions for speed.
 class Vm {
 public:
   /// Shadow may be null to disable shadow-edge recording entirely.
@@ -208,22 +231,21 @@ public:
   ExecResult run(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
                  FeedbackContext *Fb = nullptr);
 
-  /// Attach a pre-decoded image of this Vm's module: run() switches to the
-  /// threaded-dispatch, snapshot-reset executor (Exec.cpp), which produces
-  /// bit-identical results to the reference interpreter. The image must
-  /// have been built from the same module (and with a shadow index if this
-  /// Vm has one); it is borrowed, not owned, and may be shared read-only
-  /// across Vms. Pass null to detach and fall back to the interpreter.
+  /// Attach the pre-decoded image a compiled program runs over (the JIT
+  /// engine's input: PcInfo fault coordinates and the snapshot-reset
+  /// pristine globals). On its own it changes nothing — run() keeps using
+  /// the reference interpreter until attachJit. The image must have been
+  /// built from the same module (and with a shadow index if this Vm has
+  /// one); it is borrowed, not owned, and may be shared read-only across
+  /// Vms. Pass null to detach (which also detaches the compiled program).
   void attachImage(const ProgramImage *Image);
-  bool usingImage() const { return Img != nullptr; }
 
   /// Attach a compiled native program (vm/jit/Jit.h): run() dispatches to
   /// the JIT engine (Run.cpp), which produces bit-identical results to
-  /// both interpreters. Implies attachImage(J->image()) — the image
-  /// provides the PcInfo fault coordinates and the snapshot-reset
-  /// pristine state; executions the per-exec capacity guard rejects fall
-  /// back to the fast path transparently. Borrowed, not owned; pass null
-  /// to detach (the image stays attached).
+  /// the reference interpreter. Implies attachImage(J->image());
+  /// executions the per-exec capacity guard rejects run on the reference
+  /// interpreter transparently. Borrowed, not owned; pass null to detach
+  /// (the image stays attached).
   void attachJit(const jit::JitProgram *J);
   bool usingJit() const { return Jp != nullptr; }
 
@@ -244,21 +266,11 @@ private:
     mir::Reg RetReg = 0;  ///< caller register receiving the return value
   };
 
-  /// Fast-path call frame: the reference Frame with (Block, InstrIdx)
-  /// collapsed into one saved PC. SavedPC of the *top* frame is dead (the
-  /// live PC is an executor local); below it, each frame's SavedPC is its
-  /// resume point just past the call.
-  struct FastFrame {
-    uint32_t SavedPC = 0;
-    uint32_t RegBase = 0;
-    mir::Reg RetReg = 0;
-  };
+  /// The reference interpreter.
+  ExecResult runInterp(const uint8_t *Input, size_t Len,
+                       const ExecOptions &Opts, FeedbackContext *Fb);
 
-  /// The fast-path executor (Exec.cpp). Requires Img.
-  ExecResult runImage(const uint8_t *Input, size_t Len,
-                      const ExecOptions &Opts, FeedbackContext *Fb);
-
-  /// The JIT engine (jit/Run.cpp). Requires Jp; falls back to runImage
+  /// The JIT engine (jit/Run.cpp). Requires Jp; falls back to runInterp
   /// when the per-exec capacity guard rejects the options.
   ExecResult runJit(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
                     FeedbackContext *Fb);
@@ -282,18 +294,18 @@ private:
   std::vector<uint8_t> EdgeSeen;
   std::vector<uint32_t> EdgeTouched;
 
-  // Fast-path state (meaningful only while Img is attached).
+  // Snapshot-reset state of the JIT engine (meaningful only while Jp is
+  // attached; Img is its image).
   const ProgramImage *Img = nullptr;
-  std::vector<FastFrame> FFrames;
   /// Whether the persistent globals prefix of Objects/Cells is live (set
-  /// after the first fast-path run materializes it).
+  /// after the first JIT run materializes it).
   bool GlobalsLive = false;
   std::vector<uint8_t> DirtyPage;  ///< per 64-cell page of the globals
   std::vector<uint32_t> DirtyList; ///< pages dirtied by the last run
   ResetStats RStats;
 
-  // JIT state (meaningful only while Jp is attached). The scratch
-  // vectors are pre-reserved flat buffers native code appends into with
+  // Compiled-program state (meaningful only while Jp is attached). The
+  // scratch vectors are pre-reserved flat buffers native code appends into with
   // pointer bumps; JitFrames holds jit::JitFrame records as raw bytes so
   // this header needs no jit types.
   const jit::JitProgram *Jp = nullptr;

@@ -10,18 +10,13 @@
 //
 //  - PC labels. Every slot gets a label bound at its step check, so a
 //    resolved branch target PC becomes one rel32 jump. Non-terminator
-//    slots fall through to the next slot, like the interpreter's PC++.
+//    slots fall through to the next slot, like the reference's InstrIdx++.
 //  - Pinned registers. rbx = JitState, r12 = step budget (counted down),
 //    r13 = input base, r14 = current frame's register base, r15 = heap
 //    cells base, rbp = coverage map (null disables probes). VM registers
 //    are memory slots [r14 + reg*8] — the "spill-free register map" over
 //    the high-water register stack: no allocation, loads fold into
 //    operands, and frames switch by rebasing r14.
-//  - Superinstructions are de-fused. Fusion only cut dispatch, which
-//    native code has none of; the paired/chained slots are still in the
-//    stream verbatim, so BinBr compiles as Bin falling through to the
-//    CondBr slot, chain ops compile as their first op. Step accounting
-//    is per-slot either way, so counts and trip points are unchanged.
 //  - Behavior flags (map, shadow edges, path signature, call hash, cmp
 //    logging) are runtime-tested from the state, so one compiled program
 //    serves every campaign configuration and the cache key stays the
@@ -133,9 +128,6 @@ bool available() {
 #if PF_JIT_SUPPORTED
 
 namespace {
-
-/// Tagged pointer base; must match Vm.cpp / Exec.cpp.
-constexpr int64_t PtrBase = int64_t(1) << 56;
 
 int32_t stOff(size_t Off) { return static_cast<int32_t>(Off); }
 
@@ -354,14 +346,8 @@ private:
   }
 
   void emitSlot(uint32_t Pc, const DInstr &I) {
-    // De-fuse superinstructions: the paired/chained slots follow in the
-    // stream verbatim, so compiling the canonical first op and falling
-    // through reproduces the fused semantics slot for slot.
     switch (I.Op) {
     case DOp::Const:
-    case DOp::ConstCondBr:
-    case DOp::ConstBin:
-    case DOp::ConstBinBr:
       emitConstStore(reg(I.A), I.Imm);
       break;
     case DOp::Move:
@@ -369,11 +355,9 @@ private:
       E.movMR(reg(I.A), RAX);
       break;
     case DOp::Bin:
-    case DOp::BinBr:
       emitBin(Pc, I, /*ImmForm=*/false);
       break;
     case DOp::BinImm:
-    case DOp::BinImmBr:
       emitBin(Pc, I, /*ImmForm=*/true);
       break;
     case DOp::Neg:
@@ -422,11 +406,9 @@ private:
       emitBlockProbe(I);
       break;
     case DOp::PathAdd:
-    case DOp::PathAddBr:
       emitPathAdd(I);
       break;
     case DOp::PathFlushRet:
-    case DOp::FlushRetRet:
       emitPathFlush(I, /*ResetBack=*/false);
       break;
     case DOp::PathFlushBack:

@@ -6,11 +6,11 @@
 //
 // The baseline (template) JIT: compiles the pre-decoded DInstr slots of a
 // vm::ProgramImage into one contiguous native x86-64 function, executed
-// by Vm::runJit with results bit-identical to both interpreters. The
-// codegen contract — per-op templates, terminal bailouts, PcInfo-exact
-// fault coordinates, W^X buffer lifecycle and cache keying — is
-// documented in docs/JIT.md; the compiler lives in Compile.cpp and the
-// runtime ABI in Runtime.h.
+// by Vm::runJit with results bit-identical to the reference interpreter.
+// The codegen contract — per-op templates, terminal bailouts, PcInfo-exact
+// fault coordinates, W^X buffer lifecycle and cache keying — is documented
+// in docs/JIT.md; the compiler lives in Compile.cpp and the runtime ABI in
+// Runtime.h.
 //
 // A JitProgram is immutable after compile() and carries no mutable
 // execution state, so one program is shared read-only by any number of
@@ -81,7 +81,7 @@ public:
   using EntryFn = void (*)(JitState *);
 
   /// Compile Image. Returns null when the platform is unsupported or the
-  /// executable mapping fails — callers fall back to the interpreters.
+  /// executable mapping fails — callers fall back to the interpreter.
   /// The image is borrowed and must outlive the program.
   static std::unique_ptr<JitProgram> compile(const ProgramImage &Image);
 

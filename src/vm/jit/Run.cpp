@@ -4,11 +4,12 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The C++ side of a JIT execution: pre-reserve the worst-case register
-// stack and frame array (compiled code never grows them — that is the
-// per-exec capacity guard's job to ensure), seed a JitState, enter the
-// compiled function once, and rebuild the ExecResult exactly as
-// Exec.cpp's RaiseFault/Finish tail does:
+// The C++ side of a JIT execution: restore the globals from the image
+// (the snapshot reset), pre-reserve the worst-case register stack and
+// frame array (compiled code never grows them — that is the per-exec
+// capacity guard's job to ensure), seed a JitState, enter the compiled
+// function once, and rebuild the ExecResult with the reference
+// interpreter's exact values:
 //
 //  - Steps falls out of the countdown: StepLimit - StepsRemaining, and a
 //    step-limit trip leaves StepsRemaining at -1 so the unsigned wrap
@@ -19,7 +20,13 @@
 //    the reference's exact loop shape.
 //  - Shadow edges are sorted from the flat scratch, the EdgeSeen bitmap
 //    is re-cleared, and the dirty-page list is adopted so the next
-//    snapshot reset (shared with the fast path) works unchanged.
+//    snapshot reset restores exactly the pages this run wrote.
+//
+// The snapshot reset is the fork-server/persistent-mode analogue: globals
+// are materialized once from the image's pristine copy and kept as a
+// persistent prefix of Objects/Cells across executions; compiled stores
+// into global cells mark 64-cell pages dirty, and the reset restores only
+// those pages instead of reconstructing the world.
 //
 //===----------------------------------------------------------------------===//
 
@@ -34,6 +41,49 @@
 namespace pathfuzz {
 namespace vm {
 
+void Vm::resetGlobalsFromImage() {
+  const ProgramImage &P = *Img;
+  const uint64_t NumCells = P.globalCells();
+  const uint32_t NumGlobals = P.numGlobals();
+
+  if (!GlobalsLive) {
+    // First run on this image: materialize the whole prefix.
+    Objects.clear();
+    Objects.reserve(NumGlobals);
+    for (uint32_t G = 0; G < NumGlobals; ++G) {
+      HeapObject O;
+      O.Size = P.globalSizes()[G];
+      O.CellBase = P.globalCellBases()[G];
+      Objects.push_back(O);
+    }
+    Cells.assign(P.pristineGlobalCells().begin(),
+                 P.pristineGlobalCells().end());
+    DirtyPage.assign((NumCells + SnapshotPageCells - 1) >> SnapshotPageShift,
+                     0);
+    DirtyList.clear();
+    GlobalsLive = true;
+    return;
+  }
+
+  // Persistent-mode reset: drop the heap suffix, then restore only the
+  // global pages the previous execution wrote. Global objects themselves
+  // are immutable (Free on a global faults before setting Freed), so only
+  // cells need restoring.
+  Objects.resize(NumGlobals);
+  Cells.resize(NumCells);
+  ++RStats.Resets;
+  const int64_t *Pristine = P.pristineGlobalCells().data();
+  for (uint32_t Page : DirtyList) {
+    const uint64_t Base = static_cast<uint64_t>(Page) << SnapshotPageShift;
+    const uint64_t N = std::min<uint64_t>(SnapshotPageCells, NumCells - Base);
+    std::copy(Pristine + Base, Pristine + Base + N, Cells.data() + Base);
+    DirtyPage[Page] = 0;
+    ++RStats.DirtyPagesReset;
+    RStats.DirtyCellsReset += N;
+  }
+  DirtyList.clear();
+}
+
 ExecResult Vm::runJit(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
                       FeedbackContext *Fb) {
   const jit::JitProgram &J = *Jp;
@@ -42,14 +92,15 @@ ExecResult Vm::runJit(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
   // Capacity guard: compiled code indexes the register stack and frame
   // array without bounds checks, so both are sized for the worst case up
   // front. Options that would make that reservation absurd (a pathological
-  // MaxCallDepth) route this execution to the fast-path executor instead —
-  // same results, no reservation.
+  // MaxCallDepth) route this execution to the reference interpreter
+  // instead — same results, no reservation. The interpreter drops the
+  // persistent globals, so the next JIT run re-materializes them.
   const uint64_t MaxDepth = Opts.MaxCallDepth;
   const uint64_t WorstRegs =
       (MaxDepth + 1) * static_cast<uint64_t>(J.maxFrameRegs()) + 8;
   if (MaxDepth > (uint64_t(1) << 20) || WorstRegs > (uint64_t(1) << 22)) {
     ++JStats.Fallbacks;
-    return runImage(Input, Len, Opts, Fb);
+    return runInterp(Input, Len, Opts, Fb);
   }
 
   ExecResult R;
@@ -94,7 +145,7 @@ ExecResult Vm::runJit(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
   S.MapMask = Fb ? Fb->MapMask : 0;
   S.LineFlags = Fb ? Fb->LineFlags : nullptr;
   S.PrevLoc = 0;
-  S.CallHash = 0x50a7af1dULL;
+  S.CallHash = CallHashSeed;
   S.Sig = 0;
   S.Input = Input;
   S.Len = Len;
@@ -153,8 +204,8 @@ ExecResult Vm::runJit(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
     for (uint64_t I = 0; I < S.EdgeTouchedN; ++I)
       EdgeSeen[JitEdges[I]] = 0;
   }
-  // Adopt the dirty-page list so resetGlobalsFromImage (shared with the
-  // fast path) restores exactly these pages before the next run.
+  // Adopt the dirty-page list so resetGlobalsFromImage restores exactly
+  // these pages before the next run.
   DirtyList.assign(JitDirty.begin(), JitDirty.begin() + S.DirtyN);
   uint64_t Dirty = 0;
   for (uint32_t Page : DirtyList) {

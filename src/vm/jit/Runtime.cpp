@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 //
 // The three operations compiled code calls out for instead of inlining
-// (see Runtime.h for the ABI). Each replicates its Exec.cpp counterpart
-// exactly — probe order, filters, hash constants — because these run on
-// the identity-contract path.
+// (see Runtime.h for the ABI). Each replicates its reference-interpreter
+// counterpart in Vm.cpp exactly — probe order, filters, hash constants —
+// because these run on the identity-contract path.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,11 +20,6 @@
 namespace pathfuzz {
 namespace vm {
 namespace jit {
-
-namespace {
-/// Tagged pointer base; must match Vm.cpp / Exec.cpp / Compile.cpp.
-constexpr int64_t PtrBase = int64_t(1) << 56;
-} // namespace
 
 extern "C" int64_t pfJitAlloc(JitState *S, int64_t Size) {
   // Injected heap exhaustion first, then the real limits — probe order
@@ -74,7 +69,7 @@ extern "C" void pfJitLogCmp(JitState *S, int64_t L, int64_t Rv) {
 }
 
 extern "C" void pfJitCallHash(JitState *S, uint32_t Callee) {
-  S->CallHash = mix64(S->CallHash ^ (Callee + 0x517cc1b727220a95ULL));
+  S->CallHash = callHashStep(S->CallHash, Callee);
   const uint32_t Idx = static_cast<uint32_t>(S->CallHash) &
                        static_cast<uint32_t>(S->MapMask);
   const uint8_t V = static_cast<uint8_t>(S->Map[Idx] + 1);

@@ -10,9 +10,9 @@
 //    entry stub receives its address in rdi and pins it in rbx; every
 //    per-op template reads/writes state through fixed offsets
 //    (offsetof-derived in Compile.cpp, so the layout below IS the ABI).
-//  - JitFrame mirrors Vm::FastFrame plus a native resume address, so
-//    returns are one indirect jump while fault-stack walks still see
-//    bytecode resume PCs.
+//  - JitFrame holds a frame's bytecode resume PC and register base plus
+//    a native resume address, so returns are one indirect jump while
+//    fault-stack walks still see bytecode resume PCs.
 //  - The pfJit* helpers are the few operations compiled code does not
 //    inline: heap allocation (vector growth + fault injection + trace
 //    events), cmp-operand capture, and the PathAFL call hash. They follow
@@ -21,8 +21,8 @@
 //    may reallocate the cells vector).
 //
 // Bailouts are terminal: native code never re-enters after writing
-// FaultKind/BailPC — the wrapper materializes the Fault from PcInfo just
-// like Exec.cpp's RaiseFault block, so coordinates are bit-identical.
+// FaultKind/BailPC — the wrapper materializes the Fault from PcInfo, whose
+// coordinates are the reference interpreter's, so they are bit-identical.
 //
 //===----------------------------------------------------------------------===//
 
@@ -109,7 +109,7 @@ struct JitState {
 
 extern "C" {
 
-/// Heap allocation: replicates Exec.cpp's Alloc handler exactly —
+/// Heap allocation: replicates the reference Alloc handler exactly —
 /// injected-fault probe first (with its trace event), then the real
 /// limits, then growth. Returns the tagged pointer; on failure sets
 /// S->FaultKind = OutOfMemory and the return value is dead. Updates the

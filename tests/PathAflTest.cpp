@@ -4,8 +4,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "pathafl/PathAfl.h"
-
 #include "cov/CoverageMap.h"
 #include "instrument/Instrument.h"
 #include "lang/Compile.h"
@@ -40,7 +38,7 @@ fn main() {
 TEST(PathAfl, SelectionPicksASubsetOfFunctions) {
   unsigned Selected = 0;
   for (uint32_t F = 0; F < 64; ++F)
-    Selected += pathafl::isSelectedFunction(F);
+    Selected += vm::callHashSelected(F);
   EXPECT_GT(Selected, 4u);  // partial...
   EXPECT_LT(Selected, 40u); // ...but not full instrumentation
 }
@@ -80,13 +78,12 @@ TEST(PathAfl, CallPathHashDistinguishesCallOrders) {
 }
 
 TEST(PathAfl, HashStepMatchesVmConstants) {
-  // The helper mirrors the VM's hashing; a drift here silently decouples
-  // the comparator's documentation from its implementation.
-  uint64_t H = pathafl::callHashSeed();
-  uint64_t H1 = pathafl::callHashStep(H, 3);
-  uint64_t H2 = pathafl::callHashStep(H, 4);
+  // The one definition the interpreter and the JIT runtime both call.
+  uint64_t H = vm::CallHashSeed;
+  uint64_t H1 = vm::callHashStep(H, 3);
+  uint64_t H2 = vm::callHashStep(H, 4);
   EXPECT_NE(H1, H2);
-  EXPECT_EQ(pathafl::callHashStep(H, 3), H1);
+  EXPECT_EQ(vm::callHashStep(H, 3), H1);
   EXPECT_EQ(H, 0x50a7af1dULL);
 }
 

@@ -33,6 +33,7 @@
 #include "telemetry/Telemetry.h"
 #include "vm/Image.h"
 #include "vm/Vm.h"
+#include "vm/jit/Jit.h"
 
 #include <gtest/gtest.h>
 
@@ -115,7 +116,9 @@ void expectSameNonMapResult(const vm::ExecResult &A, const vm::ExecResult &B,
 /// Replay Inputs through the fully instrumented image (coverage map
 /// attached, as the replay tier runs it) and through the audited cheap
 /// image (no map, signature only, as the bulk tier runs it); every
-/// non-map observable and the exec-path signature must agree.
+/// non-map observable and the exec-path signature must agree. Images run
+/// compiled, as campaigns run them; where the JIT is unavailable both
+/// tiers run the reference interpreter, as campaigns there do.
 void expectCheapTierIdentity(const mir::Module &M,
                              const instr::ShadowEdgeIndex *Shadow,
                              const std::vector<fuzz::Input> &Inputs,
@@ -130,9 +133,16 @@ void expectCheapTierIdentity(const mir::Module &M,
   ASSERT_EQ(Full.codeSize(), Cheap.codeSize()) << What;
 
   vm::Vm FullVm(M, Shadow);
-  FullVm.attachImage(&Full);
   vm::Vm CheapVm(M, Shadow);
-  CheapVm.attachImage(&Cheap);
+  std::unique_ptr<vm::jit::JitProgram> FullJit, CheapJit;
+  if (vm::jit::available()) {
+    FullJit = vm::jit::JitProgram::compile(Full);
+    CheapJit = vm::jit::JitProgram::compile(Cheap);
+    ASSERT_NE(FullJit, nullptr) << What;
+    ASSERT_NE(CheapJit, nullptr) << What;
+    FullVm.attachJit(FullJit.get());
+    CheapVm.attachJit(CheapJit.get());
+  }
   cov::CoverageMap Map(16);
   for (size_t K = 0; K < Inputs.size(); ++K) {
     const fuzz::Input &In = Inputs[K];
@@ -170,15 +180,17 @@ TEST(Selective, ExampleSubjectsCheapTierIdentity) {
     std::shared_ptr<SubjectBuild> SB = Cache.get(S);
     ASSERT_TRUE(SB->ok()) << SB->error();
     CampaignOptions O;
-    O.VmMode = vm::VmExecMode::FastPath;
+    O.VmMode = vm::VmExecMode::Jit;
     O.Selective = vm::SelectiveMode::On;
     for (instr::Feedback Mode :
          {instr::Feedback::None, instr::Feedback::EdgePrecise,
           instr::Feedback::EdgeClassic, instr::Feedback::Path}) {
       const InstrumentedBuild &IB = SB->instrumented(Mode, O);
-      ASSERT_NE(IB.Image, nullptr);
-      ASSERT_NE(IB.CheapImage, nullptr)
-          << "selective build must produce the cheap twin";
+      if (vm::jit::available()) {
+        ASSERT_NE(IB.CheapImage, nullptr)
+            << "selective JIT build must produce the cheap twin";
+        ASSERT_NE(IB.CheapJit, nullptr);
+      }
       std::string What =
           S.Name + "/feedback" + std::to_string(static_cast<int>(Mode));
       expectCheapTierIdentity(IB.Mod, &SB->shadow(),
@@ -196,7 +208,7 @@ TEST(Selective, PlanCoversExactlyTheProbes) {
   std::shared_ptr<SubjectBuild> SB = Cache.get(S);
   ASSERT_TRUE(SB->ok());
   CampaignOptions O;
-  O.VmMode = vm::VmExecMode::FastPath;
+  O.VmMode = vm::VmExecMode::Interpreter;
   const InstrumentedBuild &IB =
       SB->instrumented(instr::Feedback::Path, O);
 
@@ -253,7 +265,7 @@ TEST(Selective, AuditRejectsTamperedPlans) {
   std::shared_ptr<SubjectBuild> SB = Cache.get(S);
   ASSERT_TRUE(SB->ok());
   CampaignOptions O;
-  O.VmMode = vm::VmExecMode::FastPath;
+  O.VmMode = vm::VmExecMode::Interpreter;
   const InstrumentedBuild &IB =
       SB->instrumented(instr::Feedback::Path, O);
   const mir::Module &M = IB.Mod;
@@ -321,7 +333,7 @@ CampaignOptions selectiveOpts(FuzzerKind Kind, vm::SelectiveMode Mode) {
   Opts.Kind = Kind;
   Opts.ExecBudget = 4000;
   Opts.Seed = 11;
-  Opts.VmMode = vm::VmExecMode::FastPath;
+  Opts.VmMode = vm::VmExecMode::Jit;
   Opts.Selective = Mode;
   return Opts;
 }

@@ -171,6 +171,42 @@ TEST(ServeProtocol, SubmitTraceOptOutAndDefaults) {
   EXPECT_EQ(R.Budget, 20000u);
 }
 
+TEST(ServeProtocol, NumericFieldsAtTheU64Edge) {
+  Request R;
+  std::string Err;
+  ASSERT_TRUE(parseRequest("{\"verb\":\"submit\",\"tenant\":\"t\","
+                           "\"subject\":\"s\",\"seed\":18446744073709551615,"
+                           "\"budget\":18446744073709551615,\"trace\":2}",
+                           R, Err))
+      << Err;
+  EXPECT_EQ(R.Seed, UINT64_MAX);
+  EXPECT_EQ(R.Budget, UINT64_MAX);
+  EXPECT_TRUE(R.TraceWanted);
+
+  uint64_t V = 5;
+  EXPECT_FALSE(telemetry::jsonU64("{\"n\":18446744073709551616}", "n", V));
+  EXPECT_FALSE(telemetry::jsonU64("{\"n\":99999999999999999999}", "n", V));
+  EXPECT_EQ(V, 5u); // a rejected value leaves the output alone
+  EXPECT_TRUE(telemetry::jsonU64("{\"n\":18446744073709551615}", "n", V));
+  EXPECT_EQ(V, UINT64_MAX);
+}
+
+TEST(ServeProtocol, EscapeRoundTripsEveryByte) {
+  // Reply fields are escaped with telemetry::jsonEscape and read back with
+  // telemetry::jsonStr: every byte value must survive, control characters
+  // (written as \u00XX) included.
+  std::string All;
+  for (int C = 0; C < 256; ++C)
+    All += static_cast<char>(C);
+  std::string Back;
+  ASSERT_TRUE(telemetry::jsonStr(
+      "{\"k\":\"" + telemetry::jsonEscape(All) + "\"}", "k", Back));
+  EXPECT_EQ(Back, All);
+  // Wider \u escapes and short ones are refused, not misread.
+  EXPECT_FALSE(telemetry::jsonStr("{\"k\":\"\\u00e9\"}", "k", Back));
+  EXPECT_FALSE(telemetry::jsonStr("{\"k\":\"\\u12\"}", "k", Back));
+}
+
 TEST(ServeProtocol, SeriesParsesBothKinds) {
   Request R;
   std::string Err;
@@ -198,6 +234,24 @@ TEST(ServeProtocol, RejectsMalformedRequests) {
       "{\"verb\":\"results\"}",                               // no id
       "{\"verb\":\"series\",\"id\":\"x\"}",                   // no series kind
       "{\"verb\":\"series\",\"id\":\"x\",\"series\":\"pie\"}",
+      // Numeric fields present but malformed: never a default, never a
+      // wrapped value.
+      "{\"verb\":\"submit\",\"tenant\":\"t\",\"subject\":\"s\","
+      "\"budget\":18446744073709551617}",                     // 2^64 + 1
+      "{\"verb\":\"submit\",\"tenant\":\"t\",\"subject\":\"s\","
+      "\"budget\":18446744073709551616}",                     // 2^64
+      "{\"verb\":\"submit\",\"tenant\":\"t\",\"subject\":\"s\","
+      "\"seed\":\"7\"}",                                      // string
+      "{\"verb\":\"submit\",\"tenant\":\"t\",\"subject\":\"s\","
+      "\"seed\":-1}",                                         // negative
+      "{\"verb\":\"submit\",\"tenant\":\"t\",\"subject\":\"s\","
+      "\"seed\":}",                                           // no value
+      "{\"verb\":\"submit\",\"tenant\":\"t\",\"subject\":\"s\","
+      "\"seed\":1.5}",                                        // fraction
+      "{\"verb\":\"submit\",\"tenant\":\"t\",\"subject\":\"s\","
+      "\"budget\":12abc}",                                    // junk tail
+      "{\"verb\":\"submit\",\"tenant\":\"t\",\"subject\":\"s\","
+      "\"trace\":true}",                                      // boolean
   };
   for (const char *Line : Bad) {
     Request R;

@@ -29,6 +29,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include <cstdlib>
 
 using namespace pathfuzz;
@@ -233,6 +235,74 @@ TEST(Metrics, RegistryRoundTripsWithStablePointers) {
     ByteReader R(Cut);
     EXPECT_FALSE(Bad.deserialize(R) && R.done()) << "prefix " << N;
   }
+}
+
+TEST(Metrics, DecodeRefusesNonCanonicalNameOrder) {
+  MetricsRegistry Reg;
+  *Reg.counter("a") = 1;
+  *Reg.counter("b") = 2;
+  ByteWriter W;
+  Reg.serialize(W);
+  std::vector<uint8_t> Bytes = W.take();
+  // Swap the two one-byte names: the section now lists "b" before "a",
+  // which serialize() never writes.
+  auto A = std::find(Bytes.begin(), Bytes.end(), uint8_t('a'));
+  auto B = std::find(Bytes.begin(), Bytes.end(), uint8_t('b'));
+  ASSERT_TRUE(A != Bytes.end() && B != Bytes.end());
+  std::iter_swap(A, B);
+  MetricsRegistry Back;
+  ByteReader R(Bytes);
+  EXPECT_FALSE(Back.deserialize(R));
+
+  // A duplicate name ("a" twice) is refused the same way.
+  *A = uint8_t('a');
+  MetricsRegistry Dup;
+  ByteReader RD(Bytes);
+  EXPECT_FALSE(Dup.deserialize(RD));
+}
+
+TEST(Metrics, AdoptNeedsEveryObservableSeries) {
+  MetricsRegistry Live;
+  uint64_t *Execs = Live.counter("execs");
+  *Live.counter("vm.jit.execs") = 9; // engine-local
+  MetricsRegistry Snap;
+  *Snap.counter("execs") = 40;
+  *Snap.counter("store.checkpoint.written") = 2;
+  // A snapshot taken under another engine lacks vm.jit.*: adoptable, and
+  // the series keeps its value next to the snapshot's.
+  ASSERT_TRUE(Live.canAdopt(Snap));
+  Live.adopt(Snap);
+  EXPECT_EQ(*Execs, 40u);
+  EXPECT_EQ(Live.counters().at("vm.jit.execs"), 9u);
+  EXPECT_EQ(Live.counters().at("store.checkpoint.written"), 2u);
+  // One lacking an observable series the live registry holds is not.
+  MetricsRegistry Renamed;
+  *Renamed.counter("exect") = 40;
+  EXPECT_FALSE(Live.canAdopt(Renamed));
+}
+
+TEST(TraceState, DecodeRefusesFewerRecordedThanHeldEvents) {
+  TraceConfig Cfg;
+  Cfg.Enabled = true;
+  InstanceTrace Tr(Cfg);
+  for (uint64_t E = 0; E < 3; ++E)
+    Tr.event(EventKind::ExecCompleted, E);
+  ByteWriter W;
+  Tr.serializeState(W);
+  std::vector<uint8_t> Bytes = W.take();
+  InstanceState S;
+  {
+    ByteReader R(Bytes);
+    ASSERT_TRUE(decodeInstanceState(R, S));
+    EXPECT_EQ(S.Recorded, 3u);
+  }
+  // The u64 recorded count follows the version byte, the event count and
+  // three 22-byte events.
+  const size_t RecordedAt = 1 + 8 + 3 * 22;
+  ASSERT_EQ(Bytes[RecordedAt], 3u);
+  Bytes[RecordedAt] = 2;
+  ByteReader R(Bytes);
+  EXPECT_FALSE(decodeInstanceState(R, S));
 }
 
 //===----------------------------------------------------------------------===//

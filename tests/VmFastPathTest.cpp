@@ -1,26 +1,33 @@
-//===- VmFastPathTest.cpp - Fast path vs reference interpreter identity -------===//
+//===- VmFastPathTest.cpp - The decoded-image path vs the interpreter ---------===//
 //
 // Part of the pathfuzz project.
 //
-// The identity contract of the pre-decoded fast path (vm/Image.h,
-// vm/Exec.cpp): for every module, every input and every feedback mode it
-// produces bit-identical observable results to the reference
-// interpreter — same fault record (kind, coordinates, stack hash), same
-// step count, same return value, same coverage-map bytes, same shadow
-// edges and cmp log, same heap accounting. The suite pins that contract
-// three ways:
+// What is left of the VM fast path once the threaded executor is gone:
+// the pre-decoded vm::ProgramImage as the JIT's input, the snapshot reset
+// over it, the rule that picks it (vm::fastPathEnabled) and its telemetry
+// family (vm.fastpath.*). Its contract: an image changes nothing
+// observable — a Vm with only an image attached runs the reference
+// interpreter, a Vm wired the way the fuzzer wires it (image, then the
+// compiled program where the engine selector picks the JIT) produces
+// bit-identical results to a plain interpreter, and moving one Vm between
+// compiled code and the interpreter never leaks state across the switch.
+// The suite pins that contract:
 //
-//  - every example subject (examples/minilang/*.ml) replayed per-exec
-//    through both engines across all feedback modes;
-//  - a randomized property test over arbitrary generated CFGs (loops,
-//    unreachable blocks, step-limit hangs);
-//  - whole campaigns compared through serializeCampaignResult and their
-//    telemetry traces (which must agree apart from the fast-path-only
-//    vm.fastpath.* metric family);
+//  - every example subject replayed per-exec through the plain
+//    interpreter, an image-only Vm and the default-engine Vm across all
+//    feedback modes;
+//  - the line-flag oracle on image-only Vms;
+//  - a randomized property test over arbitrary generated CFGs, with the
+//    compiled Vm switched between native code and the interpreter
+//    fallback mid-workload (the examples get the same switch);
+//  - whole default-engine campaigns compared with interpreter campaigns
+//    through serializeCampaignResult and their telemetry traces, the
+//    vm.fastpath.* family present exactly when the image is in use;
+//  - the engine selector: where the image is decoded and what the
+//    retired "fastpath" knob value now means.
 //
-// plus snapshot-reset correctness: dirtied global pages must be restored
-// between executions exactly as the interpreter's fresh materialization
-// would, and the reset stats must account for them.
+// The suite holds under any PATHFUZZ_VM_ENGINE value and on hosts
+// without the JIT.
 //
 //===----------------------------------------------------------------------===//
 
@@ -34,6 +41,7 @@
 #include "targets/Targets.h"
 #include "vm/Image.h"
 #include "vm/Vm.h"
+#include "vm/jit/Jit.h"
 
 #include <gtest/gtest.h>
 
@@ -96,9 +104,37 @@ std::vector<fuzz::Input> workload(const Subject &S, size_t Count,
   return Inputs;
 }
 
+/// Sets PATHFUZZ_VM_ENGINE for one scope and puts the caller's value
+/// back afterwards, so the sanitized leg's setting survives the test.
+class EngineKnob {
+public:
+  EngineKnob() {
+    if (const char *V = std::getenv("PATHFUZZ_VM_ENGINE")) {
+      Had = true;
+      Saved = V;
+    }
+  }
+  ~EngineKnob() {
+    if (Had)
+      setenv("PATHFUZZ_VM_ENGINE", Saved.c_str(), 1);
+    else
+      unsetenv("PATHFUZZ_VM_ENGINE");
+  }
+  void set(const char *V) {
+    if (V)
+      setenv("PATHFUZZ_VM_ENGINE", V, 1);
+    else
+      unsetenv("PATHFUZZ_VM_ENGINE");
+  }
+
+private:
+  bool Had = false;
+  std::string Saved;
+};
+
 /// Field-level identity of two executions. DirtyGlobalCells is the one
-/// deliberate exception: it is fast-path bookkeeping, always zero on the
-/// reference interpreter.
+/// deliberate exception: it is snapshot-reset bookkeeping, always zero on
+/// the reference interpreter.
 void expectSameResult(const vm::ExecResult &A, const vm::ExecResult &B,
                       const char *What) {
   EXPECT_EQ(A.TheFault.Kind, B.TheFault.Kind) << What;
@@ -114,65 +150,125 @@ void expectSameResult(const vm::ExecResult &A, const vm::ExecResult &B,
   EXPECT_EQ(A.HeapCellsAllocated, B.HeapCellsAllocated) << What;
 }
 
-/// Replay the workload through a fresh interpreter Vm and a fresh
-/// fast-path Vm sharing one image; compare every observable per exec.
-void expectEngineIdentity(const mir::Module &M,
-                          const instr::ShadowEdgeIndex *Shadow,
-                          const vm::ProgramImage &Image,
-                          const std::vector<fuzz::Input> &Inputs,
-                          const uint64_t *FuncKeys, const char *What) {
+/// One execution with a fresh 2^16 map; returns the result and leaves the
+/// map bytes and path signature in the out-parameters.
+vm::ExecResult runMapped(vm::Vm &Machine, const fuzz::Input &In,
+                         const vm::ExecOptions &EO, const uint64_t *FuncKeys,
+                         cov::CoverageMap &Map, uint64_t &Sig) {
+  Map.reset();
+  Sig = 0;
+  vm::FeedbackContext Fb;
+  Fb.Map = Map.data();
+  Fb.MapMask = Map.mask();
+  Fb.FuncKeys = FuncKeys;
+  Fb.PathSig = &Sig;
+  return Machine.run(In.data(), In.size(), EO, &Fb);
+}
+
+/// Replay the workload through a plain interpreter and each of Others;
+/// compare every observable (result fields, coverage-map bytes, path
+/// signatures) per execution. With TripGuardOnOdd, every odd input runs
+/// with a call-depth limit the JIT's capacity guard refuses, so a Vm with
+/// a compiled program attached alternates between compiled code and the
+/// interpreter fallback (all Vms get the same options, so the depth limit
+/// itself cannot make them differ).
+void expectSameAsInterpreter(const mir::Module &M,
+                             const instr::ShadowEdgeIndex *Shadow,
+                             const std::vector<vm::Vm *> &Others,
+                             const std::vector<fuzz::Input> &Inputs,
+                             const uint64_t *FuncKeys, const char *What,
+                             bool TripGuardOnOdd = false) {
   vm::Vm Interp(M, Shadow);
-  vm::Vm Fast(M, Shadow);
-  Fast.attachImage(&Image);
-  cov::CoverageMap MapI(16), MapF(16);
+  cov::CoverageMap MapI(16), MapO(16);
   for (size_t K = 0; K < Inputs.size(); ++K) {
-    const fuzz::Input &In = Inputs[K];
     vm::ExecOptions EO;
     EO.StepLimit = 200000;
     EO.LogCmps = true;
-    MapI.reset();
-    MapF.reset();
-    vm::FeedbackContext FbI, FbF;
-    FbI.Map = MapI.data();
-    FbI.MapMask = MapI.mask();
-    FbI.FuncKeys = FuncKeys;
-    FbF.Map = MapF.data();
-    FbF.MapMask = MapF.mask();
-    FbF.FuncKeys = FuncKeys;
-    vm::ExecResult RI = Interp.run(In.data(), In.size(), EO, &FbI);
-    vm::ExecResult RF = Fast.run(In.data(), In.size(), EO, &FbF);
-    expectSameResult(RI, RF, What);
-    EXPECT_EQ(std::memcmp(MapI.data(), MapF.data(), MapI.size()), 0)
-        << What << " input " << K << ": coverage maps diverge";
-  }
-}
-
-/// Per-exec identity on every example subject under every feedback mode.
-TEST(VmFastPath, ExampleSubjectsIdentity) {
-  for (const Subject &S : exampleSubjects()) {
-    BuildCache Cache;
-    std::shared_ptr<SubjectBuild> SB = Cache.get(S);
-    CampaignOptions O;
-    O.VmMode = vm::VmExecMode::FastPath;
-    for (instr::Feedback Mode :
-         {instr::Feedback::None, instr::Feedback::EdgePrecise,
-          instr::Feedback::EdgeClassic, instr::Feedback::Path}) {
-      const InstrumentedBuild &IB = SB->instrumented(Mode, O);
-      ASSERT_NE(IB.Image, nullptr);
-      std::string What =
-          S.Name + "/feedback" + std::to_string(static_cast<int>(Mode));
-      expectEngineIdentity(IB.Mod, &SB->shadow(), *IB.Image,
-                           workload(S, 48, 0x5eedbeef),
-                           IB.Report.FuncKeys.data(), What.c_str());
+    if (TripGuardOnOdd && K % 2)
+      EO.MaxCallDepth = (1u << 20) + 1;
+    uint64_t SigI = 0, SigO = 0;
+    vm::ExecResult RI = runMapped(Interp, Inputs[K], EO, FuncKeys, MapI, SigI);
+    for (size_t V = 0; V < Others.size(); ++V) {
+      vm::ExecResult RO =
+          runMapped(*Others[V], Inputs[K], EO, FuncKeys, MapO, SigO);
+      const std::string Where = std::string(What) + " input " +
+                                std::to_string(K) + " vm " +
+                                std::to_string(V);
+      expectSameResult(RI, RO, Where.c_str());
+      EXPECT_EQ(SigI, SigO) << Where << ": path signatures";
+      EXPECT_EQ(std::memcmp(MapI.data(), MapO.data(), MapI.size()), 0)
+          << Where << ": coverage maps diverge";
     }
   }
 }
 
-/// The line-flag oracle on both engines: on every paper and example
+/// Per-exec identity on every example subject under every feedback mode:
+/// an image-only Vm, and a Vm wired from the default-engine BuildCache
+/// slot exactly as the fuzzer wires it, both match the plain interpreter —
+/// the latter also when it alternates between compiled code and the
+/// capacity guard's interpreter fallback, which must hand the globals
+/// back to the next compiled run pristine.
+TEST(VmFastPath, ExampleSubjectsIdentity) {
+  const bool ImageInUse = vm::fastPathEnabled(vm::VmExecMode::Auto);
+  for (const Subject &S : exampleSubjects()) {
+    BuildCache Cache;
+    std::shared_ptr<SubjectBuild> SB = Cache.get(S);
+    ASSERT_TRUE(SB->ok()) << S.Name;
+    CampaignOptions O; // VmMode = Auto: whatever PATHFUZZ_VM_ENGINE picks
+    for (instr::Feedback Mode :
+         {instr::Feedback::None, instr::Feedback::EdgePrecise,
+          instr::Feedback::EdgeClassic, instr::Feedback::Path}) {
+      const InstrumentedBuild &IB = SB->instrumented(Mode, O);
+      const std::string What =
+          S.Name + "/feedback" + std::to_string(static_cast<int>(Mode));
+      EXPECT_EQ(IB.Image != nullptr, ImageInUse) << What;
+      EXPECT_EQ(IB.Jit != nullptr, ImageInUse) << What;
+
+      vm::ProgramImage Own = vm::ProgramImage::build(IB.Mod, &SB->shadow());
+      vm::Vm ImageOnly(IB.Mod, &SB->shadow());
+      ImageOnly.attachImage(IB.Image ? IB.Image.get() : &Own);
+      vm::Vm Default(IB.Mod, &SB->shadow());
+      if (IB.Image)
+        Default.attachImage(IB.Image.get());
+      if (IB.Jit)
+        Default.attachJit(IB.Jit.get());
+
+      const std::vector<fuzz::Input> Inputs = workload(S, 48, 0x5eedbeef);
+      expectSameAsInterpreter(IB.Mod, &SB->shadow(), {&ImageOnly, &Default},
+                              Inputs, IB.Report.FuncKeys.data(),
+                              What.c_str());
+      // The image alone never ran compiled code or reset a page.
+      EXPECT_FALSE(ImageOnly.usingJit()) << What;
+      EXPECT_EQ(ImageOnly.resetStats().Resets, 0u) << What;
+      EXPECT_EQ(Default.usingJit(), ImageInUse) << What;
+      EXPECT_EQ(Default.jitRunStats().Execs,
+                ImageInUse ? Inputs.size() : 0u)
+          << What;
+
+      // The same wiring, alternating with the fallback from the start:
+      // every compiled run follows an interpreter run, so each one
+      // re-materializes the globals rather than resetting pages.
+      vm::Vm Alternating(IB.Mod, &SB->shadow());
+      if (IB.Image)
+        Alternating.attachImage(IB.Image.get());
+      if (IB.Jit)
+        Alternating.attachJit(IB.Jit.get());
+      expectSameAsInterpreter(IB.Mod, &SB->shadow(), {&Alternating}, Inputs,
+                              IB.Report.FuncKeys.data(), What.c_str(),
+                              /*TripGuardOnOdd=*/true);
+      EXPECT_EQ(Alternating.jitRunStats().Fallbacks,
+                ImageInUse ? Inputs.size() / 2 : 0u)
+          << What;
+      EXPECT_EQ(Alternating.resetStats().Resets, 0u) << What;
+    }
+  }
+}
+
+/// The line-flag oracle on image-only Vms: on every paper and example
 /// subject, every feedback mode, the PathAFL call hash on and off and two
-/// map sizes, the lines an engine flags are exactly the lines its map
-/// bumps left nonzero — the precondition of the fuzzer's touched-line map
-/// pipeline (cov/CoverageMap.h).
+/// map sizes, the lines a Vm with only an image attached flags are
+/// exactly the lines its map bumps left nonzero — the precondition of the
+/// fuzzer's touched-line map pipeline (cov/CoverageMap.h).
 TEST(VmFastPath, LineFlagsMarkExactlyNonzeroLines) {
   std::vector<Subject> Subjects = targets::allSubjects();
   for (Subject &S : exampleSubjects())
@@ -182,42 +278,41 @@ TEST(VmFastPath, LineFlagsMarkExactlyNonzeroLines) {
     std::shared_ptr<SubjectBuild> SB = Cache.get(S);
     ASSERT_TRUE(SB->ok()) << S.Name;
     CampaignOptions O;
-    O.VmMode = vm::VmExecMode::FastPath;
+    O.VmMode = vm::VmExecMode::Interpreter; // the slot decodes no image
     const std::vector<fuzz::Input> Inputs = workload(S, 24, 0x11fe);
     for (instr::Feedback Mode :
          {instr::Feedback::None, instr::Feedback::EdgePrecise,
           instr::Feedback::EdgeClassic, instr::Feedback::Path}) {
       const InstrumentedBuild &IB = SB->instrumented(Mode, O);
-      ASSERT_NE(IB.Image, nullptr);
-      vm::Vm Interp(IB.Mod, &SB->shadow());
-      vm::Vm Fast(IB.Mod, &SB->shadow());
-      Fast.attachImage(IB.Image.get());
+      ASSERT_EQ(IB.Image, nullptr);
+      vm::ProgramImage Image = vm::ProgramImage::build(IB.Mod, &SB->shadow());
+      vm::Vm ImageOnly(IB.Mod, &SB->shadow());
+      ImageOnly.attachImage(&Image);
       for (uint32_t Log2 : {10u, 16u}) {
         for (bool CallHash : {false, true}) {
           const std::string What =
               S.Name + "/feedback" + std::to_string(static_cast<int>(Mode)) +
               "/2^" + std::to_string(Log2) + (CallHash ? "/callhash" : "");
-          EXPECT_EQ(test::lineFlagMismatch(Interp, Inputs, Log2,
+          EXPECT_EQ(test::lineFlagMismatch(ImageOnly, Inputs, Log2,
                                            IB.Report.FuncKeys.data(),
                                            CallHash),
                     "")
-              << "interpreter " << What;
-          EXPECT_EQ(test::lineFlagMismatch(Fast, Inputs, Log2,
-                                           IB.Report.FuncKeys.data(),
-                                           CallHash),
-                    "")
-              << "fast path " << What;
+              << "image only " << What;
         }
       }
+      EXPECT_EQ(ImageOnly.resetStats().Resets, 0u) << S.Name;
     }
   }
 }
 
 /// Randomized property test: arbitrary generated CFGs (back edges, self
 /// loops, unreachable blocks, step-limit hangs), instrumented with
-/// Ball-Larus path probes, must execute identically through both
-/// engines.
+/// Ball-Larus path probes, execute identically on an image-only Vm and,
+/// where the JIT is available, on a Vm with the compiled program attached
+/// that alternates between compiled code and the capacity guard's
+/// interpreter fallback.
 TEST(VmFastPath, RandomizedMirIdentity) {
+  const bool Avail = vm::jit::available();
   Rng R(20260807);
   for (int Trial = 0; Trial < 150; ++Trial) {
     mir::Module M = test::moduleWith(test::randomFunction(R));
@@ -235,16 +330,35 @@ TEST(VmFastPath, RandomizedMirIdentity) {
         B = static_cast<uint8_t>(R.below(256));
       Inputs.push_back(std::move(In));
     }
-    std::string What = "random trial " + std::to_string(Trial);
-    expectEngineIdentity(M, &Shadow, Image, Inputs, Rep.FuncKeys.data(),
-                         What.c_str());
+    const std::string What = "random trial " + std::to_string(Trial);
+    vm::Vm ImageOnly(M, &Shadow);
+    ImageOnly.attachImage(&Image);
+    std::vector<vm::Vm *> Others = {&ImageOnly};
+    std::unique_ptr<vm::jit::JitProgram> J;
+    vm::Vm Switching(M, &Shadow);
+    if (Avail) {
+      J = vm::jit::JitProgram::compile(Image);
+      ASSERT_NE(J, nullptr);
+      Switching.attachJit(J.get());
+      Others.push_back(&Switching);
+    }
+    expectSameAsInterpreter(M, &Shadow, Others, Inputs, Rep.FuncKeys.data(),
+                            What.c_str(), /*TripGuardOnOdd=*/true);
+    EXPECT_FALSE(ImageOnly.usingJit());
+    EXPECT_EQ(ImageOnly.resetStats().Resets, 0u) << What;
+    if (Avail) {
+      EXPECT_EQ(Switching.jitRunStats().Execs, Inputs.size() / 2) << What;
+      EXPECT_EQ(Switching.jitRunStats().Fallbacks, Inputs.size() / 2) << What;
+      EXPECT_EQ(Switching.resetStats().Resets, 0u) << What;
+    }
   }
 }
 
-/// Strip the engine-local metric families (vm.fastpath.*, vm.selective.*),
-/// the only permitted divergence between traced campaigns run on different
-/// engines. The family list lives in telemetry::isEngineLocalMetric — the
-/// shared definition all identity tests use.
+/// Strip the engine-local metric families (vm.fastpath.*, vm.jit.*,
+/// vm.selective.*), the only permitted divergence between traced
+/// campaigns run on different engines. The family list lives in
+/// telemetry::isEngineLocalMetric — the shared definition all identity
+/// tests use.
 template <typename MapT> MapT withoutEngineLocalFamilies(const MapT &In) {
   MapT Out;
   for (const auto &KV : In)
@@ -253,11 +367,24 @@ template <typename MapT> MapT withoutEngineLocalFamilies(const MapT &In) {
   return Out;
 }
 
-/// Whole campaigns: byte-identical findings and (minus engine-local
-/// families) identical telemetry under either engine.
+/// Whole campaigns: the default engine gives byte-identical findings and
+/// (minus engine-local families) identical telemetry to the interpreter,
+/// and its trace carries the vm.fastpath.* family — the image size as
+/// decoded by the BuildCache — exactly when the image is in use.
 TEST(VmFastPath, CampaignIdentityAndTelemetry) {
   std::vector<Subject> Examples = exampleSubjects();
   const Subject &S = Examples[3]; // tokens: globals + calls + branches
+  const bool ImageInUse = vm::fastPathEnabled(vm::VmExecMode::Auto);
+  int64_t ImageBytes = 0;
+  if (ImageInUse) {
+    BuildCache Cache;
+    CampaignOptions O;
+    const InstrumentedBuild &IB =
+        Cache.get(S)->instrumented(instr::Feedback::Path, O);
+    ASSERT_NE(IB.Image, nullptr);
+    ImageBytes = static_cast<int64_t>(IB.Image->byteSize());
+    ASSERT_GT(ImageBytes, 0);
+  }
   for (FuzzerKind Kind : {FuzzerKind::Path, FuzzerKind::Pcguard}) {
     CampaignOptions Interp;
     Interp.Kind = Kind;
@@ -266,22 +393,22 @@ TEST(VmFastPath, CampaignIdentityAndTelemetry) {
     Interp.Trace.Enabled = true;
     Interp.Trace.SampleInterval = 512;
     Interp.VmMode = vm::VmExecMode::Interpreter;
-    CampaignOptions Fast = Interp;
-    Fast.VmMode = vm::VmExecMode::FastPath;
+    CampaignOptions Default = Interp;
+    Default.VmMode = vm::VmExecMode::Auto;
 
     CampaignResult RI = runCampaign(S, Interp);
-    CampaignResult RF = runCampaign(S, Fast);
-    EXPECT_EQ(serializeCampaignResult(RI), serializeCampaignResult(RF))
+    CampaignResult RD = runCampaign(S, Default);
+    EXPECT_EQ(serializeCampaignResult(RI), serializeCampaignResult(RD))
         << fuzzerKindName(Kind);
     if (!telemetry::Compiled)
       continue; // no recorder to compare
 
     ASSERT_NE(RI.Trace, nullptr);
-    ASSERT_NE(RF.Trace, nullptr);
-    ASSERT_EQ(RI.Trace->Instances.size(), RF.Trace->Instances.size());
+    ASSERT_NE(RD.Trace, nullptr);
+    ASSERT_EQ(RI.Trace->Instances.size(), RD.Trace->Instances.size());
     for (size_t K = 0; K < RI.Trace->Instances.size(); ++K) {
       const telemetry::InstanceRecord &A = RI.Trace->Instances[K];
-      const telemetry::InstanceRecord &B = RF.Trace->Instances[K];
+      const telemetry::InstanceRecord &B = RD.Trace->Instances[K];
       EXPECT_EQ(A.Label, B.Label);
       EXPECT_EQ(A.ExecOffset, B.ExecOffset);
       EXPECT_EQ(A.Samples, B.Samples);
@@ -290,93 +417,58 @@ TEST(VmFastPath, CampaignIdentityAndTelemetry) {
                 withoutEngineLocalFamilies(B.Metrics.counters()));
       EXPECT_EQ(withoutEngineLocalFamilies(A.Metrics.gauges()),
                 withoutEngineLocalFamilies(B.Metrics.gauges()));
-      EXPECT_TRUE(
-          telemetry::sameObservableMetrics(A.Metrics, B.Metrics));
-      // The fast-path campaign must actually carry the family...
-      EXPECT_TRUE(B.Metrics.gauges().count("vm.fastpath.image.bytes"));
-      // ...and the interpreter campaign must not.
+      EXPECT_TRUE(telemetry::sameObservableMetrics(A.Metrics, B.Metrics));
+      // The image-backed campaign carries the family, with the decoded
+      // image's size...
+      EXPECT_EQ(B.Metrics.gauges().count("vm.fastpath.image.bytes") != 0,
+                ImageInUse);
+      EXPECT_EQ(B.Metrics.counters().count("vm.fastpath.reset.bytes") != 0,
+                ImageInUse);
+      if (ImageInUse && Kind == FuzzerKind::Path) {
+        EXPECT_EQ(B.Metrics.gauges().at("vm.fastpath.image.bytes"),
+                  ImageBytes);
+      }
+      // ...and the interpreter campaign never does.
       EXPECT_FALSE(A.Metrics.gauges().count("vm.fastpath.image.bytes"));
       EXPECT_FALSE(A.Metrics.counters().count("vm.fastpath.reset.bytes"));
     }
   }
 }
 
-/// Snapshot reset: a run that dirties global pages must not leak them
-/// into the next run — a read-only execution afterwards sees pristine
-/// globals, exactly like the interpreter's per-run materialization.
-TEST(VmFastPath, SnapshotResetRestoresDirtyPages) {
-  lang::CompileResult CR = lang::compileSource(R"ml(
-global g[512];
-
-fn main() {
-  if (len() > 1 && in(0) == 'w') {
-    g[in(1) * 2] = 7;
-    return -1;
-  }
-  var s = 0;
-  var i = 0;
-  while (i < 512) {
-    s = s + g[i];
-    i = i + 1;
-  }
-  return s;
-}
-)ml",
-                                               "snap");
-  ASSERT_TRUE(CR.ok()) << CR.message();
-  mir::Module M = std::move(*CR.Mod);
-  vm::ProgramImage Image = vm::ProgramImage::build(M, nullptr);
-  vm::Vm Fast(M);
-  Fast.attachImage(&Image);
-  vm::Vm Interp(M);
-  vm::ExecOptions EO;
-
-  // Alternate writes at spread-out indexes (distinct 64-cell pages) with
-  // full-array reads; the read must always see zeros.
-  for (int Round = 0; Round < 8; ++Round) {
-    uint8_t W[2] = {'w', static_cast<uint8_t>(Round * 37)};
-    vm::ExecResult RW = Fast.run(W, 2, EO, nullptr);
-    EXPECT_EQ(RW.ReturnValue, -1);
-    EXPECT_GT(RW.DirtyGlobalCells, 0u);
-    vm::ExecResult RF = Fast.run(nullptr, 0, EO, nullptr);
-    vm::ExecResult RI = Interp.run(nullptr, 0, EO, nullptr);
-    EXPECT_EQ(RF.ReturnValue, 0);
-    expectSameResult(RI, RF, "read-after-write round");
-  }
-
-  const vm::ResetStats &St = Fast.resetStats();
-  EXPECT_GT(St.Resets, 0u);
-  EXPECT_GT(St.DirtyPagesReset, 0u);
-  // Page-granular restore: cells = pages * page size, and only the
-  // written pages (one per write) ever got restored — far fewer than
-  // executions * total global cells.
-  EXPECT_EQ(St.DirtyCellsReset, St.DirtyPagesReset * vm::SnapshotPageCells);
-  EXPECT_LE(St.DirtyPagesReset, 8u * 2u);
-}
-
-/// The engine-selection knob: CampaignOptions::VmMode forces an engine,
-/// Auto follows PATHFUZZ_VM_ENGINE (default jit, which rides the fast
-/// path; anything unrecognized means the default).
+/// The engine selector as the image sees it: fastPathEnabled is true
+/// exactly when the JIT runs, the retired "fastpath" value of
+/// PATHFUZZ_VM_ENGINE means the default like any unknown value, and the
+/// BuildCache decodes a slot's image exactly when fastPathEnabled says so.
 TEST(VmFastPath, ModeResolution) {
+  const bool Avail = vm::jit::available();
+  EngineKnob Knob;
   EXPECT_FALSE(vm::fastPathEnabled(vm::VmExecMode::Interpreter));
-  EXPECT_TRUE(vm::fastPathEnabled(vm::VmExecMode::FastPath));
+  EXPECT_EQ(vm::fastPathEnabled(vm::VmExecMode::Jit), Avail);
 
-  unsetenv("PATHFUZZ_VM_ENGINE");
-  EXPECT_TRUE(vm::fastPathEnabled(vm::VmExecMode::Auto));
-  setenv("PATHFUZZ_VM_ENGINE", "interp", 1);
+  Knob.set(nullptr);
+  EXPECT_EQ(vm::fastPathEnabled(vm::VmExecMode::Auto), Avail);
+  Knob.set("fastpath");
+  EXPECT_EQ(vm::fastPathEnabled(vm::VmExecMode::Auto), Avail);
+  EXPECT_EQ(vm::jitEnabled(vm::VmExecMode::Auto), Avail);
+  Knob.set("interp");
   EXPECT_FALSE(vm::fastPathEnabled(vm::VmExecMode::Auto));
   // A forced mode ignores the knob.
-  EXPECT_TRUE(vm::fastPathEnabled(vm::VmExecMode::FastPath));
-  setenv("PATHFUZZ_VM_ENGINE", "fastpath", 1);
-  EXPECT_TRUE(vm::fastPathEnabled(vm::VmExecMode::Auto));
-  setenv("PATHFUZZ_VM_ENGINE", "jit", 1);
-  EXPECT_TRUE(vm::fastPathEnabled(vm::VmExecMode::Auto));
-  setenv("PATHFUZZ_VM_ENGINE", "bogus", 1);
-  EXPECT_TRUE(vm::fastPathEnabled(vm::VmExecMode::Auto));
-  unsetenv("PATHFUZZ_VM_ENGINE");
+  EXPECT_EQ(vm::fastPathEnabled(vm::VmExecMode::Jit), Avail);
 
-  // Informational, but must be callable and stable.
-  EXPECT_EQ(vm::threadedDispatch(), vm::threadedDispatch());
+  // One BuildCache slot per mode: the image is there exactly when the
+  // selector wants it (interp is still set, so Auto means interpreter).
+  std::vector<Subject> Examples = exampleSubjects();
+  for (vm::VmExecMode Mode : {vm::VmExecMode::Interpreter,
+                              vm::VmExecMode::Auto, vm::VmExecMode::Jit}) {
+    BuildCache Cache;
+    CampaignOptions O;
+    O.VmMode = Mode;
+    std::shared_ptr<SubjectBuild> SB = Cache.get(Examples[0]);
+    const InstrumentedBuild &IB = SB->instrumented(instr::Feedback::Path, O);
+    const bool Want = vm::fastPathEnabled(Mode);
+    EXPECT_EQ(IB.Image != nullptr, Want) << static_cast<int>(Mode);
+    EXPECT_EQ(SB->imageBuilds(), Want ? 1u : 0u) << static_cast<int>(Mode);
+  }
 }
 
 } // namespace

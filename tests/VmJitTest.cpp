@@ -16,11 +16,14 @@
 //    unreachable blocks, step-limit hangs);
 //  - a step-limit sweep across the exact trip boundary (the countdown
 //    register's wrap must reproduce the reference's StepLimit + 1);
-//  - the capacity guard's transparent fast-path fallback;
+//  - the line-flag oracle of both engines;
+//  - the snapshot reset: dirtied global pages are restored between
+//    executions exactly as the interpreter's fresh materialization would;
+//  - the capacity guard's transparent fallback to the interpreter;
 //  - whole campaigns on ALL 18 paper subjects x the 4 feedback modes,
 //    compared through serializeCampaignResult;
 //  - traced campaigns whose telemetry must agree apart from the
-//    engine-local vm.jit.* family;
+//    engine-local vm.jit.* and vm.fastpath.* families;
 //  - checkpoint/resume with the engine switched between the two runs
 //    (the engine is excluded from the checkpoint fingerprint);
 //  - the PATHFUZZ_VM_ENGINE knob resolution and the BuildCache compile/hit
@@ -182,13 +185,14 @@ TEST(VmJit, ExampleSubjectsIdentity) {
   }
 }
 
-/// The line-flag oracle on compiled code: the emitBump template and the
-/// pfJitCallHash helper flag exactly the lines the map writes left
-/// nonzero, on every paper and example subject, every feedback mode, the
-/// PathAFL call hash on and off and two map sizes.
+/// The line-flag oracle on both engines: on every paper and example
+/// subject, every feedback mode, the PathAFL call hash on and off and two
+/// map sizes, the lines an engine flags are exactly the lines its map
+/// bumps left nonzero — the precondition of the fuzzer's touched-line map
+/// pipeline (cov/CoverageMap.h). On compiled code that pins the emitBump
+/// template and the pfJitCallHash helper; the JIT half is skipped where
+/// the JIT is unavailable.
 TEST(VmJit, LineFlagsMarkExactlyNonzeroLines) {
-  if (!vm::jit::available())
-    GTEST_SKIP() << "JIT unsupported on this platform";
   std::vector<Subject> Subjects = targets::allSubjects();
   for (Subject &S : exampleSubjects())
     Subjects.push_back(std::move(S));
@@ -203,19 +207,28 @@ TEST(VmJit, LineFlagsMarkExactlyNonzeroLines) {
          {instr::Feedback::None, instr::Feedback::EdgePrecise,
           instr::Feedback::EdgeClassic, instr::Feedback::Path}) {
       const InstrumentedBuild &IB = SB->instrumented(Mode, O);
-      ASSERT_NE(IB.Jit, nullptr);
+      ASSERT_EQ(IB.Jit != nullptr, vm::jit::available());
+      vm::Vm Interp(IB.Mod, &SB->shadow());
       vm::Vm Jit(IB.Mod, &SB->shadow());
-      Jit.attachJit(IB.Jit.get());
+      if (IB.Jit)
+        Jit.attachJit(IB.Jit.get());
       for (uint32_t Log2 : {10u, 16u}) {
         for (bool CallHash : {false, true}) {
           const std::string What =
               S.Name + "/feedback" + std::to_string(static_cast<int>(Mode)) +
               "/2^" + std::to_string(Log2) + (CallHash ? "/callhash" : "");
-          EXPECT_EQ(test::lineFlagMismatch(Jit, Inputs, Log2,
+          EXPECT_EQ(test::lineFlagMismatch(Interp, Inputs, Log2,
                                            IB.Report.FuncKeys.data(),
                                            CallHash),
                     "")
-              << What;
+              << "interpreter " << What;
+          if (IB.Jit) {
+            EXPECT_EQ(test::lineFlagMismatch(Jit, Inputs, Log2,
+                                             IB.Report.FuncKeys.data(),
+                                             CallHash),
+                      "")
+                << "jit " << What;
+          }
         }
       }
       EXPECT_EQ(Jit.jitRunStats().Fallbacks, 0u) << S.Name;
@@ -309,9 +322,69 @@ fn main() {
   EXPECT_GT(Jit.jitRunStats().Bailouts, 0u);
 }
 
+/// Snapshot reset: a run that dirties global pages must not leak them
+/// into the next run — a read-only execution afterwards sees pristine
+/// globals, exactly like the interpreter's per-run materialization — and
+/// the reset stats must account for exactly the dirtied pages.
+TEST(VmJit, SnapshotResetRestoresDirtyPages) {
+  if (!vm::jit::available())
+    GTEST_SKIP() << "JIT unsupported on this platform";
+  lang::CompileResult CR = lang::compileSource(R"ml(
+global g[512];
+
+fn main() {
+  if (len() > 1 && in(0) == 'w') {
+    g[in(1) * 2] = 7;
+    return -1;
+  }
+  var s = 0;
+  var i = 0;
+  while (i < 512) {
+    s = s + g[i];
+    i = i + 1;
+  }
+  return s;
+}
+)ml",
+                                               "snap");
+  ASSERT_TRUE(CR.ok()) << CR.message();
+  mir::Module M = std::move(*CR.Mod);
+  vm::ProgramImage Image = vm::ProgramImage::build(M, nullptr);
+  std::unique_ptr<vm::jit::JitProgram> J = vm::jit::JitProgram::compile(Image);
+  ASSERT_NE(J, nullptr);
+  vm::Vm Jit(M);
+  Jit.attachJit(J.get());
+  vm::Vm Interp(M);
+  vm::ExecOptions EO;
+
+  // Alternate writes at spread-out indexes (distinct 64-cell pages) with
+  // full-array reads; the read must always see zeros.
+  for (int Round = 0; Round < 8; ++Round) {
+    uint8_t W[2] = {'w', static_cast<uint8_t>(Round * 37)};
+    vm::ExecResult RW = Jit.run(W, 2, EO, nullptr);
+    EXPECT_EQ(RW.ReturnValue, -1);
+    EXPECT_GT(RW.DirtyGlobalCells, 0u);
+    vm::ExecResult RJ = Jit.run(nullptr, 0, EO, nullptr);
+    vm::ExecResult RI = Interp.run(nullptr, 0, EO, nullptr);
+    EXPECT_EQ(RJ.ReturnValue, 0);
+    expectSameResult(RI, RJ, "read-after-write round");
+  }
+  EXPECT_EQ(Jit.jitRunStats().Execs, 16u);
+
+  const vm::ResetStats &St = Jit.resetStats();
+  EXPECT_GT(St.Resets, 0u);
+  EXPECT_GT(St.DirtyPagesReset, 0u);
+  // Page-granular restore: cells = pages * page size, and only the
+  // written pages (one per write) ever got restored — far fewer than
+  // executions * total global cells.
+  EXPECT_EQ(St.DirtyCellsReset, St.DirtyPagesReset * vm::SnapshotPageCells);
+  EXPECT_LE(St.DirtyPagesReset, 8u * 2u);
+}
+
 /// The per-exec capacity guard: options whose worst-case register-stack
-/// reservation would be absurd must route the execution to the fast path
-/// transparently — same results, Fallbacks accounted.
+/// reservation would be absurd must route the execution to the reference
+/// interpreter transparently — same results, Fallbacks accounted — and
+/// the next compiled run must start from pristine globals again.
 TEST(VmJit, CapacityGuardFallsBackIdentically) {
   if (!vm::jit::available())
     GTEST_SKIP() << "JIT unsupported on this platform";
@@ -327,21 +400,34 @@ TEST(VmJit, CapacityGuardFallsBackIdentically) {
   vm::Vm Jit(M);
   Jit.attachJit(J.get());
 
+  // A compiled run first, so the fallback follows a live globals prefix
+  // (tokens' return value reads the global class histogram, so stale
+  // globals would show in every result below).
+  vm::ExecOptions Sane;
+  const fuzz::Input &In = S.Seeds[0];
+  vm::ExecResult RJ0 = Jit.run(In.data(), In.size(), Sane, nullptr);
+  vm::ExecResult RI0 = Interp.run(In.data(), In.size(), Sane, nullptr);
+  expectSameResult(RI0, RJ0, "pre-fallback run");
+  EXPECT_GT(RJ0.DirtyGlobalCells, 0u);
+
   vm::ExecOptions EO;
   EO.MaxCallDepth = (1u << 20) + 1; // trips the guard
-  const fuzz::Input &In = S.Seeds[0];
-  vm::ExecResult RI = Interp.run(In.data(), In.size(), EO, nullptr);
   vm::ExecResult RJ = Jit.run(In.data(), In.size(), EO, nullptr);
+  vm::ExecResult RI = Interp.run(In.data(), In.size(), EO, nullptr);
   expectSameResult(RI, RJ, "capacity fallback");
-  EXPECT_EQ(Jit.jitRunStats().Execs, 0u);
+  // The reference interpreter served it: no snapshot bookkeeping.
+  EXPECT_EQ(RJ.DirtyGlobalCells, 0u);
+  EXPECT_EQ(Jit.jitRunStats().Execs, 1u);
   EXPECT_EQ(Jit.jitRunStats().Fallbacks, 1u);
 
-  // Sane options go back to compiled code on the same Vm.
-  vm::ExecOptions Sane;
+  // Sane options go back to compiled code on the same Vm, which
+  // re-materializes the globals the interpreter rebuilt instead of
+  // resetting pages of a prefix it no longer owns.
   vm::ExecResult RJ2 = Jit.run(In.data(), In.size(), Sane, nullptr);
   vm::ExecResult RI2 = Interp.run(In.data(), In.size(), Sane, nullptr);
   expectSameResult(RI2, RJ2, "post-fallback run");
-  EXPECT_EQ(Jit.jitRunStats().Execs, 1u);
+  EXPECT_EQ(Jit.jitRunStats().Execs, 2u);
+  EXPECT_EQ(Jit.resetStats().Resets, 0u);
 }
 
 /// Whole campaigns on all 18 paper subjects under one feedback mode:
@@ -432,7 +518,7 @@ TEST(VmJit, CampaignTelemetryIdentity) {
       EXPECT_EQ(withoutEngineLocalFamilies(A.Metrics.gauges()),
                 withoutEngineLocalFamilies(B.Metrics.gauges()));
       EXPECT_TRUE(telemetry::sameObservableMetrics(A.Metrics, B.Metrics));
-      // The JIT campaign must actually carry the family, with at least
+      // The JIT campaign must actually carry the families, with at least
       // every counted execution served by compiled code (the selective
       // cheap tier and queue replays run extra JIT executions on top of
       // the budgeted ones, so >= rather than ==)...
@@ -444,9 +530,13 @@ TEST(VmJit, CampaignTelemetryIdentity) {
       EXPECT_GT(B.Metrics.gauges().at("vm.jit.compiled"), 0);
       ASSERT_TRUE(B.Metrics.gauges().count("vm.jit.bytes"));
       EXPECT_GT(B.Metrics.gauges().at("vm.jit.bytes"), 0);
+      EXPECT_TRUE(B.Metrics.gauges().count("vm.fastpath.image.bytes"));
+      EXPECT_TRUE(B.Metrics.counters().count("vm.fastpath.reset.bytes"));
       // ...and the interpreter campaign must not.
       EXPECT_FALSE(A.Metrics.counters().count("vm.jit.execs"));
       EXPECT_FALSE(A.Metrics.gauges().count("vm.jit.compiled"));
+      EXPECT_FALSE(A.Metrics.gauges().count("vm.fastpath.image.bytes"));
+      EXPECT_FALSE(A.Metrics.counters().count("vm.fastpath.reset.bytes"));
     }
   }
 }
@@ -499,31 +589,35 @@ TEST(VmJit, CheckpointResumeAcrossEngines) {
 }
 
 /// The engine-selection knob: VmMode::Jit forces compiled execution where
-/// available, Auto follows PATHFUZZ_VM_ENGINE (default jit).
+/// available, Auto follows PATHFUZZ_VM_ENGINE (default jit; anything
+/// other than "interp" means the default), and the image is wanted
+/// exactly when the JIT runs.
 TEST(VmJit, ModeResolution) {
-  EXPECT_FALSE(vm::jitEnabled(vm::VmExecMode::Interpreter));
-  EXPECT_FALSE(vm::jitEnabled(vm::VmExecMode::FastPath));
-  // Jit implies the fast path (the image supplies fault coordinates and
-  // snapshot-reset state).
-  EXPECT_TRUE(vm::fastPathEnabled(vm::VmExecMode::Jit));
-  EXPECT_EQ(vm::jitEnabled(vm::VmExecMode::Jit), vm::jit::available());
+  const bool Avail = vm::jit::available();
+  auto expectMode = [](vm::VmExecMode Mode, bool Jit) {
+    EXPECT_EQ(vm::jitEnabled(Mode), Jit);
+    EXPECT_EQ(vm::fastPathEnabled(Mode), Jit);
+  };
+  expectMode(vm::VmExecMode::Interpreter, false);
+  expectMode(vm::VmExecMode::Jit, Avail);
 
   unsetenv("PATHFUZZ_VM_ENGINE");
-  EXPECT_EQ(vm::jitEnabled(vm::VmExecMode::Auto), vm::jit::available());
-  setenv("PATHFUZZ_VM_ENGINE", "fastpath", 1);
-  EXPECT_FALSE(vm::jitEnabled(vm::VmExecMode::Auto));
-  // A forced mode ignores the knob.
-  EXPECT_EQ(vm::jitEnabled(vm::VmExecMode::Jit), vm::jit::available());
+  expectMode(vm::VmExecMode::Auto, Avail);
   setenv("PATHFUZZ_VM_ENGINE", "interp", 1);
-  EXPECT_FALSE(vm::jitEnabled(vm::VmExecMode::Auto));
+  expectMode(vm::VmExecMode::Auto, false);
+  // A forced mode ignores the knob.
+  expectMode(vm::VmExecMode::Jit, Avail);
   setenv("PATHFUZZ_VM_ENGINE", "jit", 1);
-  EXPECT_EQ(vm::jitEnabled(vm::VmExecMode::Auto), vm::jit::available());
+  expectMode(vm::VmExecMode::Auto, Avail);
+  expectMode(vm::VmExecMode::Interpreter, false);
+  setenv("PATHFUZZ_VM_ENGINE", "bogus", 1);
+  expectMode(vm::VmExecMode::Auto, Avail);
   unsetenv("PATHFUZZ_VM_ENGINE");
 }
 
 /// BuildCache accounting: one native compile per (subject, feedback)
-/// slot, later JIT requests count as hits, and non-JIT campaigns leave
-/// the slot uncompiled.
+/// slot, later JIT requests count as hits, and interpreter campaigns leave
+/// the slot undecoded and uncompiled.
 TEST(VmJit, BuildCacheCompileOncePerSlot) {
   if (!vm::jit::available())
     GTEST_SKIP() << "JIT unsupported on this platform";
@@ -531,17 +625,21 @@ TEST(VmJit, BuildCacheCompileOncePerSlot) {
   BuildCache Cache;
   std::shared_ptr<SubjectBuild> SB = Cache.get(Examples[0]);
 
-  CampaignOptions FastO;
-  FastO.VmMode = vm::VmExecMode::FastPath;
-  const InstrumentedBuild &FB =
-      SB->instrumented(instr::Feedback::Path, FastO);
-  EXPECT_EQ(FB.Jit, nullptr); // fast-path campaigns don't compile
+  CampaignOptions InterpO;
+  InterpO.VmMode = vm::VmExecMode::Interpreter;
+  const InstrumentedBuild &IB =
+      SB->instrumented(instr::Feedback::Path, InterpO);
+  EXPECT_EQ(IB.Image, nullptr); // interpreter campaigns don't decode
+  EXPECT_EQ(IB.Jit, nullptr);   // ...or compile
+  EXPECT_EQ(SB->imageBuilds(), 0u);
   EXPECT_EQ(Cache.programsJitted(), 0u);
 
   CampaignOptions JitO;
   JitO.VmMode = vm::VmExecMode::Jit;
   const InstrumentedBuild &JB = SB->instrumented(instr::Feedback::Path, JitO);
-  ASSERT_NE(JB.Jit, nullptr); // added to the slot the fast path built
+  ASSERT_NE(JB.Jit, nullptr); // added to the slot the interpreter built
+  EXPECT_EQ(JB.Jit->image(), JB.Image.get());
+  EXPECT_EQ(SB->imageBuilds(), 1u);
   EXPECT_EQ(Cache.programsJitted(), 1u);
   EXPECT_EQ(Cache.jitCacheHits(), 0u);
 
