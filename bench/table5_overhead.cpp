@@ -21,7 +21,6 @@
 #include "vm/Vm.h"
 
 #include <chrono>
-#include <unordered_set>
 
 using namespace pathfuzz;
 using namespace pathfuzz::bench;
@@ -58,32 +57,6 @@ double replayCorpus(const mir::Module &M, const instr::InstrumentReport &Rep,
   return std::chrono::duration<double>(End - Start).count();
 }
 
-/// The selective mode's cheap tier over the same corpus: no coverage map,
-/// just the exec-path signature and the seen-signature lookup that gates
-/// replay (fuzz/Fuzzer.cpp). This is the bulk-exec cost the two-tier mode
-/// pays per input once its signature cache is warm.
-double replayCorpusCheap(const mir::Module &M,
-                         const instr::ShadowEdgeIndex &Shadow,
-                         const std::vector<fuzz::Input> &Corpus, int Reps) {
-  vm::Vm Machine(M, &Shadow);
-  vm::ExecOptions EO;
-  EO.RecordShadowEdges = false;
-  std::unordered_set<uint64_t> Seen;
-
-  auto Start = std::chrono::steady_clock::now();
-  for (int R = 0; R < Reps; ++R) {
-    for (const fuzz::Input &In : Corpus) {
-      uint64_t Sig = 0;
-      vm::FeedbackContext Fb;
-      Fb.PathSig = &Sig;
-      Machine.run(In.data(), In.size(), EO, &Fb);
-      Seen.insert(Sig);
-    }
-  }
-  auto End = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(End - Start).count();
-}
-
 } // namespace
 
 int main() {
@@ -94,10 +67,10 @@ int main() {
   const int Reps = static_cast<int>(envU64("REPRO_REPLAY_REPS", 5));
 
   Table T;
-  T.setHeader({"Benchmark", "corpus", "pcguard (ms)", "path (ms)",
-               "path/pcguard", "selective (ms)", "sel/path"});
+  T.setHeader(
+      {"Benchmark", "corpus", "pcguard (ms)", "path (ms)", "path/pcguard"});
 
-  std::vector<double> Ratios, SelRatios;
+  std::vector<double> Ratios;
   for (const Subject &S : C.Subjects) {
     // Build a replay corpus with a short pcguard campaign.
     CampaignOptions Opts = C.campaignOptions();
@@ -131,24 +104,18 @@ int main() {
         Corpus.push_back(E.Data);
     }
 
-    // Warm up, then measure each instrumentation, plus the selective
-    // mode's cheap tier on the path-instrumented module.
+    // Warm up, then measure each instrumentation.
     replayCorpus(EdgeMod, EdgeRep, Shadow, Corpus, 1);
     double EdgeSec = replayCorpus(EdgeMod, EdgeRep, Shadow, Corpus, Reps);
     double PathSec = replayCorpus(PathMod, PathRep, Shadow, Corpus, Reps);
-    double SelSec = replayCorpusCheap(PathMod, Shadow, Corpus, Reps);
     double Ratio = EdgeSec > 0 ? PathSec / EdgeSec : 0;
-    double SelRatio = PathSec > 0 ? SelSec / PathSec : 0;
     Ratios.push_back(Ratio);
-    SelRatios.push_back(SelRatio);
 
     T.addRow({S.Name, Table::num(uint64_t(Corpus.size())),
               Table::fixed(EdgeSec * 1000, 2), Table::fixed(PathSec * 1000, 2),
-              Table::fixed(Ratio), Table::fixed(SelSec * 1000, 2),
-              Table::fixed(SelRatio)});
+              Table::fixed(Ratio)});
   }
-  T.addRow({"GEOMEAN", "", "", "", Table::fixed(geomean(Ratios)), "",
-            Table::fixed(geomean(SelRatios))});
+  T.addRow({"GEOMEAN", "", "", "", Table::fixed(geomean(Ratios))});
   T.print();
   return 0;
 }

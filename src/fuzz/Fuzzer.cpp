@@ -6,7 +6,6 @@
 
 #include "fuzz/Fuzzer.h"
 
-#include "support/FaultInjection.h"
 #include "vm/Image.h"
 #include "vm/jit/Jit.h"
 
@@ -24,64 +23,41 @@ Fuzzer::Fuzzer(const mir::Module &M, const instr::InstrumentReport &Report,
     Machine.attachImage(this->Opts.Image);
   if (this->Opts.Jit)
     Machine.attachJit(this->Opts.Jit);
-  // Selective (two-tier) execution: construct the cheap machine over the
-  // same module and shadow index. Fault injection is stateful across
-  // executions (per-site hit counters), so an armed harness disables the
-  // mode — a cheap run would consume injection budget the full replay
-  // then misses.
-  SelectiveOn = this->Opts.Selective && !fault::enabled();
-  if (SelectiveOn) {
-    CheapMachine = std::make_unique<vm::Vm>(M, &Shadow);
-    if (this->Opts.CheapImage)
-      CheapMachine->attachImage(this->Opts.CheapImage);
-    if (this->Opts.CheapJit)
-      CheapMachine->attachJit(this->Opts.CheapJit);
-  }
   EdgeCovered.assign(Shadow.numEdges(), 0);
-  if (telemetry::Compiled && this->Opts.Trace.Enabled) {
-    Tr = std::make_unique<telemetry::InstanceTrace>(this->Opts.Trace);
-    telemetry::MetricsRegistry &Reg = Tr->metrics();
-    MExecs = Reg.counter("execs");
-    MHeapAllocs = Reg.counter("vm.heap.allocs");
-    MHeapCells = Reg.counter("vm.heap.cells");
-    HSteps = Reg.histogram("exec.steps");
-    HInputSize = Reg.histogram("input.size");
-    HHeapCells = Reg.histogram("exec.heap.cells");
-    if (this->Opts.Image) {
-      // JIT-engine series (image size, snapshot-reset bytes), registered
-      // only when an image is attached so interpreter traces carry no
-      // vm.fastpath.* family (identity comparisons across engines exclude
-      // exactly that family).
-      MResetBytes = Reg.counter("vm.fastpath.reset.bytes");
-      *Reg.gauge("vm.fastpath.image.bytes") =
-          static_cast<int64_t>(this->Opts.Image->byteSize());
-    }
-    if (SelectiveOn) {
-      // Selective-only series: how the two-tier split played out. Engine-
-      // local (like vm.fastpath.*): identity comparisons across selective
-      // settings and across resumes exclude the family, because a resumed
-      // run re-replays paths its predecessor already consumed.
-      MSelSkipped = Reg.counter("vm.selective.skipped");
-      MSelReplays = Reg.counter("vm.selective.replays");
-      MSelMismatch = Reg.counter("vm.selective.replay.mismatch");
-    }
-    if (this->Opts.Jit) {
-      // JIT-only series, registered only when a compiled program is
-      // attached so interpreter traces carry no vm.jit.* family
-      // (engine-local; see telemetry::isEngineLocalMetric). The gauges
-      // describe the attached code once; the counters accumulate per-exec
-      // in processResult.
-      MJitExecs = Reg.counter("vm.jit.execs");
-      MJitBailouts = Reg.counter("vm.jit.bailouts");
-      int64_t Funcs = this->Opts.Jit->stats().NumFuncs;
-      int64_t Bytes = this->Opts.Jit->stats().CodeBytes;
-      if (SelectiveOn && this->Opts.CheapJit) {
-        Funcs += this->Opts.CheapJit->stats().NumFuncs;
-        Bytes += this->Opts.CheapJit->stats().CodeBytes;
-      }
-      *Reg.gauge("vm.jit.compiled") = Funcs;
-      *Reg.gauge("vm.jit.bytes") = Bytes;
-    }
+  if (telemetry::Compiled && this->Opts.Trace.Enabled)
+    startTrace();
+}
+
+void Fuzzer::startTrace() {
+  Tr = std::make_unique<telemetry::InstanceTrace>(Opts.Trace);
+  telemetry::MetricsRegistry &Reg = Tr->metrics();
+  MExecs = Reg.counter("execs");
+  MHeapAllocs = Reg.counter("vm.heap.allocs");
+  MHeapCells = Reg.counter("vm.heap.cells");
+  HSteps = Reg.histogram("exec.steps");
+  HInputSize = Reg.histogram("input.size");
+  HHeapCells = Reg.histogram("exec.heap.cells");
+  if (Opts.Image) {
+    // JIT-engine series (image size, snapshot-reset bytes), registered
+    // only when an image is attached so interpreter traces carry no
+    // vm.fastpath.* family (identity comparisons across engines exclude
+    // exactly that family).
+    MResetBytes = Reg.counter("vm.fastpath.reset.bytes");
+    *Reg.gauge("vm.fastpath.image.bytes") =
+        static_cast<int64_t>(Opts.Image->byteSize());
+  }
+  if (Opts.Jit) {
+    // JIT-only series, registered only when a compiled program is
+    // attached so interpreter traces carry no vm.jit.* family
+    // (engine-local; see telemetry::isEngineLocalMetric). The gauges
+    // describe the attached code once; the counters accumulate per-exec
+    // in processResult.
+    MJitExecs = Reg.counter("vm.jit.execs");
+    MJitBailouts = Reg.counter("vm.jit.bailouts");
+    *Reg.gauge("vm.jit.compiled") =
+        static_cast<int64_t>(Opts.Jit->stats().NumFuncs);
+    *Reg.gauge("vm.jit.bytes") =
+        static_cast<int64_t>(Opts.Jit->stats().CodeBytes);
   }
 }
 
@@ -105,20 +81,6 @@ vm::ExecResult Fuzzer::executeRaw(const Input &Data, bool LogCmps) {
   vm::ExecResult Res = Machine.run(Data.data(), Data.size(), EO, &Fb);
   Trace.collectTouched();
   return Res;
-}
-
-vm::ExecResult Fuzzer::executeCheap(const Input &Data, bool LogCmps,
-                                    uint64_t &Sig) {
-  // No map, no trace: the run is invisible to coverage and telemetry. The
-  // coverage map is left untouched (not even reset) — a skipped execution
-  // must not perturb it, and a replaced one resets it in executeRaw. The
-  // crash/hang outcome, steps, cmp operands and shadow edges the result
-  // carries are exact: none of them depend on probes.
-  vm::FeedbackContext Fb;
-  Fb.PathSig = &Sig;
-  vm::ExecOptions EO = Opts.Exec;
-  EO.LogCmps = LogCmps;
-  return CheapMachine->run(Data.data(), Data.size(), EO, &Fb);
 }
 
 void Fuzzer::sampleGrowth() {
@@ -146,7 +108,7 @@ void Fuzzer::sampleTrace() {
 }
 
 bool Fuzzer::processResult(const Input &Data, const vm::ExecResult &Res,
-                           uint32_t Depth, bool ForceAdd, bool SkipNovelty) {
+                           uint32_t Depth, bool ForceAdd) {
   ++Stats.Execs;
   sampleGrowth();
 
@@ -160,15 +122,11 @@ bool Fuzzer::processResult(const Input &Data, const vm::ExecResult &Res,
     if (MResetBytes)
       *MResetBytes += Res.DirtyGlobalCells * sizeof(int64_t);
     if (MJitExecs) {
-      // The Vms keep cumulative JIT-run stats; flush only the delta since
+      // The Vm keeps cumulative JIT-run stats; flush only the delta since
       // the last flush so resumed instances (which reconstruct the Vm but
       // carry the trace forward) keep exact counts.
-      uint64_t Execs = Machine.jitRunStats().Execs;
-      uint64_t Bails = Machine.jitRunStats().Bailouts;
-      if (CheapMachine) {
-        Execs += CheapMachine->jitRunStats().Execs;
-        Bails += CheapMachine->jitRunStats().Bailouts;
-      }
+      const uint64_t Execs = Machine.jitRunStats().Execs;
+      const uint64_t Bails = Machine.jitRunStats().Bailouts;
       *MJitExecs += Execs - JitExecsSeen;
       *MJitBailouts += Bails - JitBailSeen;
       JitExecsSeen = Execs;
@@ -241,14 +199,6 @@ bool Fuzzer::processResult(const Input &Data, const vm::ExecResult &Res,
     }
     return false;
   }
-
-  // Selective skip: the execution ran only on the cheap tier because its
-  // exec-path signature was seen before, which means an earlier full
-  // execution with a byte-identical trace already fed the virgin map —
-  // the novelty verdict is None by construction, and the (stale) map must
-  // not be read.
-  if (SkipNovelty && !ForceAdd)
-    return false;
 
   // Every map stage walks only the lines this execution touched; each
   // returns exactly what its full-map reference would (cov/CoverageMap.h).
@@ -406,42 +356,8 @@ void Fuzzer::run(uint64_t ExecBudget) {
       // Log comparisons on a small fraction of runs to refresh the
       // dictionary without paying the cost everywhere.
       bool LogCmps = Opts.UseCmpDict && R.oneIn(16);
-      vm::ExecResult Res;
-      bool SkipNovelty = false;
-      if (SelectiveOn) {
-        // Two-tier step: run the cheap (probe-free, map-less) tier first;
-        // only an unseen exec-path signature triggers the full, map-
-        // writing execution. Determinism makes the replay exact, so the
-        // observable campaign state evolves byte-identically to always
-        // running the full tier — the only difference is cost.
-        uint64_t Sig = 0;
-        Res = executeCheap(Data, LogCmps, Sig);
-        if (Res.crashed() || Res.hung()) {
-          // Crash/hang bookkeeping never reads the coverage map and every
-          // field it uses is exact on the cheap tier: process directly.
-        } else if (!SeenSigs.insert(Sig).second) {
-          SkipNovelty = true;
-          if (MSelSkipped)
-            ++*MSelSkipped;
-        } else {
-          if (MSelReplays)
-            ++*MSelReplays;
-          vm::ExecResult Full = executeRaw(Data, LogCmps);
-          // The replay contract says the full run reproduces the cheap
-          // run observation-for-observation; a mismatch means the engines
-          // (or the elision) diverged. Count it — the identity tests turn
-          // any nonzero value into a failure.
-          if (MSelMismatch &&
-              (Full.Steps != Res.Steps ||
-               Full.TheFault.Kind != Res.TheFault.Kind ||
-               Full.ReturnValue != Res.ReturnValue))
-            ++*MSelMismatch;
-          Res = std::move(Full);
-        }
-      } else {
-        Res = executeRaw(Data, LogCmps);
-      }
-      processResult(Data, Res, Depth, /*ForceAdd=*/false, SkipNovelty);
+      vm::ExecResult Res = executeRaw(Data, LogCmps);
+      processResult(Data, Res, Depth);
     }
   }
 }

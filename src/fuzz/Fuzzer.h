@@ -108,25 +108,9 @@ struct FuzzerOptions {
   /// (see CampaignOptions::VmMode and vm::jitEnabled).
   const vm::jit::JitProgram *Jit = nullptr;
 
-  /// Two-tier selective execution (vm::SelectiveMode resolved by the
-  /// campaign driver). Bulk executions run on a second cheap machine with
-  /// no coverage map attached; the full, map-writing execution happens
-  /// only when the cheap run's exec-path signature was never seen before.
-  /// Equal signatures imply byte-identical coverage traces on this
-  /// deterministic VM, so results, queue contents and campaign-visible
-  /// coverage stay byte-identical to Selective = false — only per-exec
-  /// cost changes. Automatically disabled while fault injection is armed
-  /// (injected faults are stateful across executions, which breaks the
-  /// cheap/full replay equivalence).
+  /// Read only by campaignbench/; removed in the next benchmark PR.
   bool Selective = false;
-  /// Probe-free twin of Image for the cheap tier (same module, probe slots
-  /// rewritten to no-ops; see instrument/Elide.h). Null makes the cheap
-  /// tier run the reference interpreter with a null map — same contract,
-  /// less speedup. Ignored unless Selective is set.
   const vm::ProgramImage *CheapImage = nullptr;
-  /// Compiled native program for the cheap tier (must pair with
-  /// CheapImage the way Jit pairs with Image). Ignored unless Selective
-  /// is set and CheapImage is non-null.
   const vm::jit::JitProgram *CheapJit = nullptr;
 
   /// Pluggable scheduling weight, the hook behind the `prescient` config
@@ -283,18 +267,12 @@ public:
 private:
   /// Process one executed input; returns true if it was added to the
   /// corpus. ForceAdd retains the input even without coverage novelty
-  /// (seeds). SkipNovelty marks a selective-mode cheap execution whose
-  /// exec-path signature was already seen: the coverage map was neither
-  /// reset nor written for it, so the novelty check is skipped (its
-  /// outcome is already known to be None); crash/hang/cmp/shadow-edge
-  /// bookkeeping — all exact on the cheap tier — still runs.
+  /// (seeds).
   bool processResult(const Input &Data, const vm::ExecResult &Res,
-                     uint32_t Depth, bool ForceAdd = false,
-                     bool SkipNovelty = false);
-  /// Selective-mode cheap execution: no coverage map, no trace, just the
-  /// exec-path signature (and the exact crash/hang/cmp/shadow data).
-  vm::ExecResult executeCheap(const Input &Data, bool LogCmps,
-                              uint64_t &Sig);
+                     uint32_t Depth, bool ForceAdd = false);
+  /// (Re)create the instance recorder in its freshly constructed state
+  /// and cache its metric pointers.
+  void startTrace();
   uint32_t energyFor(const QueueEntry &E) const;
   void sampleGrowth();
   void sampleTrace();
@@ -303,14 +281,6 @@ private:
   const instr::InstrumentReport &Report;
   FuzzerOptions Opts;
   vm::Vm Machine;
-  /// Cheap tier of the selective mode; null when Selective is off.
-  std::unique_ptr<vm::Vm> CheapMachine;
-  /// Exec-path signatures of clean executions already consumed by the
-  /// novelty check. A pure cache — never serialized into snapshots (a
-  /// resumed run re-replays and converges to the same results), cleared
-  /// on restore so stale entries cannot outlive the restored virgin map.
-  std::unordered_set<uint64_t> SeenSigs;
-  bool SelectiveOn = false;
   cov::CoverageMap Trace;
   cov::VirginMap Virgin;
   Rng R;
@@ -346,22 +316,15 @@ private:
   /// restores); null when tracing is off *or* no image is attached, so
   /// interpreter traces never grow a vm.fastpath.* metric family.
   uint64_t *MResetBytes = nullptr;
-  /// Selective-mode-only counters (registered only when SelectiveOn, so
-  /// non-selective traces never grow a vm.selective.* metric family —
-  /// like vm.fastpath.*, an engine-local family excluded from identity
-  /// comparisons; see telemetry::isEngineLocalMetric).
-  uint64_t *MSelSkipped = nullptr;
-  uint64_t *MSelReplays = nullptr;
-  uint64_t *MSelMismatch = nullptr;
   /// JIT-only counters (registered only when Opts.Jit is set — the
   /// vm.jit.* family is engine-local like vm.fastpath.*); null when
   /// tracing is off or no compiled program is attached.
   uint64_t *MJitExecs = nullptr;
   uint64_t *MJitBailouts = nullptr;
-  /// Cumulative Vm JIT-run stats already flushed into the counters (main
-  /// + cheap machine summed). processResult adds only the delta, so
-  /// counts survive checkpoint/resume exactly (the trace carries the
-  /// counters; the rebuilt Vms restart their stats from zero).
+  /// Cumulative Vm JIT-run stats already flushed into the counters.
+  /// processResult adds only the delta, so counts survive
+  /// checkpoint/resume exactly (the trace carries the counters; the
+  /// rebuilt Vm restarts its stats from zero).
   uint64_t JitExecsSeen = 0;
   uint64_t JitBailSeen = 0;
   telemetry::Histogram *HSteps = nullptr;

@@ -323,12 +323,7 @@ bool Fuzzer::restore(const std::vector<uint8_t> &Blob) {
   if (!Rd.done())
     return false;
 
-  // Accepted: commit. The selective-mode signature cache is deliberately
-  // absent from the blob (it is pure cache: a resumed run just replays
-  // more). It must not survive the restore either — entries observed
-  // before the restore may name paths the restored virgin map has never
-  // consumed, and a stale skip would drop real novelty.
-  SeenSigs.clear();
+  // Accepted: commit.
   R.loadState(RngState);
   Sched = NewSched;
   Stats = std::move(NewStats);
@@ -354,8 +349,15 @@ bool Fuzzer::restore(const std::vector<uint8_t> &Blob) {
     HangHashes.insert(H.InputHash);
   Q.restoreState(std::move(Entries), std::move(TopRated), NeedCull,
                  PendingFavored, CullPasses);
-  if (HasTrace && Tr)
-    Tr->adoptState(TraceState);
+  // A traced fuzzer adopts the snapshot's trace; restored from an
+  // untraced snapshot it starts a fresh one, so its trace counts only
+  // what happens after the restore.
+  if (Tr) {
+    if (HasTrace)
+      Tr->adoptState(TraceState);
+    else
+      startTrace();
+  }
   return true;
 }
 

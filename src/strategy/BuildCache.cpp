@@ -7,7 +7,6 @@
 #include "strategy/BuildCache.h"
 
 #include "instrument/Audit.h"
-#include "instrument/Elide.h"
 #include "support/FaultInjection.h"
 
 #include <cassert>
@@ -125,28 +124,10 @@ SubjectBuild::tryInstrumented(instr::Feedback Mode, const CampaignOptions &Opts,
     } else {
       ++ImageHitCount;
     }
-    // The selective mode's cheap image rides the slot the same way:
-    // decoded from an elision plan covering every probe, audited with the
-    // same gate as the instrumentation itself. An audit failure is a
-    // planner bug, reported like a failed instrumentation audit rather
-    // than silently running the campaign non-selectively.
-    if (vm::selectiveEnabled(Opts.Selective) && !Slot->CheapImage) {
-      instr::ElisionPlan Plan = instr::planProbeElision(Slot->Mod);
-      if (instr::auditEnabled()) {
-        instr::AuditResult AR = instr::auditElisionPlan(Slot->Mod, Plan);
-        if (!AR.ok()) {
-          if (ErrOut)
-            *ErrOut = "probe elision audit failed: " + AR.message();
-          return nullptr;
-        }
-      }
-      Slot->CheapImage = std::make_unique<vm::ProgramImage>(
-          vm::ProgramImage::build(Slot->Mod, &Shadow, &Plan));
-    }
-    // The native JIT programs ride the slot the same way again: compiled
-    // from the cached images at most once and shared read-only (a
-    // JitProgram is immutable after compile). Checked on the hit path so
-    // a JIT campaign can add them to a slot built while the JIT was off.
+    // The native JIT program rides the slot the same way: compiled from
+    // the cached image at most once and shared read-only (a JitProgram is
+    // immutable after compile). Checked on the hit path so a JIT campaign
+    // can add it to a slot built while the JIT was off.
     // compile() returning null (unsupported platform) is cached-as-null
     // by simply retrying: available() is false, so jitEnabled never
     // steers a campaign here in the first place.
@@ -157,8 +138,6 @@ SubjectBuild::tryInstrumented(instr::Feedback Mode, const CampaignOptions &Opts,
       } else {
         ++JitHitCount;
       }
-      if (Slot->CheapImage && !Slot->CheapJit)
-        Slot->CheapJit = vm::jit::JitProgram::compile(*Slot->CheapImage);
     }
   }
   return Slot.get();

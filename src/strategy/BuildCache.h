@@ -55,20 +55,16 @@ struct InstrumentedBuild {
   /// shared read-only by every trial's Vm. Null when every campaign that
   /// touched this slot ran on the interpreter.
   std::unique_ptr<vm::ProgramImage> Image;
-  /// Probe-free twin of Image for the selective mode's cheap tier: same
-  /// module, same PC layout, probe slots rewritten to no-ops from an
-  /// audited elision plan (instrument/Elide.h). Built lazily alongside
-  /// Image when a campaign resolves to selective + JIT execution; null
-  /// otherwise.
-  std::unique_ptr<vm::ProgramImage> CheapImage;
-  /// Native compilations of Image / CheapImage (vm/jit/Jit.h), built once
-  /// alongside them when a campaign resolves to the JIT engine and shared
-  /// read-only by every trial's Vm — a JitProgram carries no mutable
-  /// execution state, so the sharing rules are the image's. Cached per
-  /// (subject, feedback mode) under the same lock and key as the images:
+  /// Native compilation of Image (vm/jit/Jit.h), built once alongside it
+  /// when a campaign resolves to the JIT engine and shared read-only by
+  /// every trial's Vm — a JitProgram carries no mutable execution state,
+  /// so the sharing rules are the image's. Cached per
+  /// (subject, feedback mode) under the same lock and key as the image:
   /// the compiled code depends only on the image bytes, which that key
   /// fully determines. Null until a JIT campaign touches the slot.
   std::unique_ptr<vm::jit::JitProgram> Jit;
+  /// Read only by campaignbench/; removed in the next benchmark PR.
+  std::unique_ptr<vm::ProgramImage> CheapImage;
   std::unique_ptr<vm::jit::JitProgram> CheapJit;
 };
 

@@ -460,17 +460,6 @@ fuzz::FuzzerOptions phaseOptions(SubjectBuild &SB, const InstrumentedBuild &B,
     FO.Image = B.Image.get();
     FO.Jit = B.Jit.get();
   }
-  // Selective (two-tier) execution: byte-identical results either way,
-  // so the knob is resolved per campaign exactly like the engine choice.
-  // The cheap image is only present when the build cache ran under a
-  // selective + JIT resolution; a null CheapImage falls back to the
-  // interpreter cheap tier inside the fuzzer.
-  if (vm::selectiveEnabled(Opts.Selective)) {
-    FO.Selective = true;
-    FO.CheapImage = B.CheapImage.get();
-    if (vm::jitEnabled(Opts.VmMode))
-      FO.CheapJit = B.CheapJit.get();
-  }
   return FO;
 }
 

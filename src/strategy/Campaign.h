@@ -163,12 +163,7 @@ struct CampaignOptions {
   /// under another.
   vm::VmExecMode VmMode = vm::VmExecMode::Auto;
 
-  /// Two-tier selective execution (fuzz/Fuzzer.h): bulk execs on a cheap
-  /// probe-free image, full instrumented replay only on unseen exec-path
-  /// signatures. Auto (the default) follows the PATHFUZZ_SELECTIVE
-  /// environment knob (on unless set to "0"). Byte-identical campaign
-  /// results either way — like VmMode, the knob only changes per-exec
-  /// cost, and it is likewise excluded from the checkpoint fingerprint.
+  /// Read only by campaignbench/; removed in the next benchmark PR.
   vm::SelectiveMode Selective = vm::SelectiveMode::Auto;
 };
 
@@ -278,7 +273,7 @@ bool deserializeCampaignResult(const std::vector<uint8_t> &Blob,
 /// depends on (kind, budget, seed, map size, cull rounds, input/step
 /// limits, placement, sampling interval). Checkpoints and the durable
 /// store's manifest both pin resumes to it; the robustness and engine
-/// knobs (checkpoint cadence, watchdog, VmMode, Selective, StoreDir) are
+/// knobs (checkpoint cadence, watchdog, VmMode, StoreDir) are
 /// deliberately excluded — they never affect results.
 void writeOptionsFingerprint(ByteWriter &W, const CampaignOptions &Opts);
 

@@ -102,7 +102,6 @@ bool isEngineLocalMetric(const std::string &Name) {
   static const char *const Prefixes[] = {
       "vm.fastpath.",  // image/snapshot-reset accounting of the JIT engine
                        // (the name predates the JIT)
-      "vm.selective.", // two-tier skip/replay accounting
       "vm.jit.",       // native-code compile/exec/bailout accounting: how
                        // executions were served, never what they computed
       "store.",        // durable-store checkpoint/recovery accounting: a

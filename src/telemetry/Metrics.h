@@ -129,10 +129,9 @@ bool operator==(const MetricsRegistry &A, const MetricsRegistry &B);
 
 /// Whether a metric name belongs to an *engine-local* family: series that
 /// describe how the execution engine ran (vm.fastpath.* image and
-/// snapshot-reset accounting of the JIT engine, vm.selective.* two-tier
-/// replay accounting, store.* durable checkpoint/recovery accounting)
-/// rather than what the campaign observed. The byte-identity contract —
-/// interpreter vs JIT, selective vs always-instrumented, resumed vs
+/// snapshot-reset accounting of the JIT engine, store.* durable
+/// checkpoint/recovery accounting) rather than what the campaign
+/// observed. The byte-identity contract — interpreter vs JIT, resumed vs
 /// uninterrupted — covers every other metric; engine-local families
 /// legitimately differ across those settings and must be excluded from
 /// equality comparisons.

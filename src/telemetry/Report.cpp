@@ -136,6 +136,17 @@ bool jsonStr(const std::string &Line, const std::string &Key,
       case 'r':
         V += '\r';
         break;
+      case 'b':
+        V += '\b';
+        break;
+      case 'f':
+        V += '\f';
+        break;
+      case '"':
+      case '\\':
+      case '/':
+        V += E;
+        break;
       case 'u': {
         // jsonEscape writes control characters as \u00XX; read back the
         // ASCII range, refuse anything wider (no UTF-8 encoding here).
@@ -156,7 +167,7 @@ bool jsonStr(const std::string &Line, const std::string &Key,
         break;
       }
       default:
-        V += E; // \" and \\ (and anything else, verbatim)
+        return false; // not a JSON escape
       }
     } else {
       V += C;

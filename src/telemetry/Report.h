@@ -32,9 +32,10 @@ namespace telemetry {
 /// is absent, not a number, or above UINT64_MAX.
 bool jsonU64(const std::string &Line, const std::string &Key, uint64_t &Out);
 
-/// Extract a string field (unescaping \" \\ \n \t \r and \u00XX). False
-/// when the key is absent, the value is not a terminated string, or a
-/// \u escape is malformed or names a code point above 0xff.
+/// Extract a string field (unescaping \" \\ \/ \b \f \n \t \r and
+/// \u00XX). False when the key is absent, the value is not a terminated
+/// string, an escape is not one of those, or a \u escape is malformed or
+/// names a code point above 0x7f.
 bool jsonStr(const std::string &Line, const std::string &Key,
              std::string &Out);
 

@@ -6,7 +6,6 @@
 
 #include "vm/Image.h"
 
-#include "instrument/Elide.h"
 #include "instrument/ShadowEdges.h"
 #include "support/Env.h"
 #include "vm/Vm.h"
@@ -36,23 +35,8 @@ bool jitEnabled(VmExecMode Mode) { return wantsJit(Mode) && jit::available(); }
 
 bool fastPathEnabled(VmExecMode Mode) { return jitEnabled(Mode); }
 
-bool selectiveEnabled(SelectiveMode Mode) {
-  switch (Mode) {
-  case SelectiveMode::Off:
-    return false;
-  case SelectiveMode::On:
-    return true;
-  case SelectiveMode::Auto:
-    break;
-  }
-  // Same contract as wantsJit: re-read the environment on every
-  // Auto query so tests can flip the knob at runtime.
-  return envBool("PATHFUZZ_SELECTIVE", true);
-}
-
 ProgramImage ProgramImage::build(const mir::Module &M,
-                                 const instr::ShadowEdgeIndex *Shadow,
-                                 const instr::ElisionPlan *Elide) {
+                                 const instr::ShadowEdgeIndex *Shadow) {
   ProgramImage P;
   P.Src = &M;
   P.HasShadow = Shadow != nullptr;
@@ -107,17 +91,6 @@ ProgramImage ProgramImage::build(const mir::Module &M,
         P.Pc.push_back({static_cast<uint32_t>(F), static_cast<uint32_t>(B),
                         Norm});
         Norm += !In.isProbe();
-        // Selective (cheap) build: rewrite elided slots to no-ops *in
-        // place* — same PC layout, same PcInfo, same step accounting as the
-        // full image, just no coverage-map writes. The pool push for
-        // PathFlushBack is skipped along with the rest of the lowering.
-        if (Elide && Elide->covers(static_cast<uint32_t>(F),
-                                   static_cast<uint32_t>(B),
-                                   static_cast<uint32_t>(InstrIdx))) {
-          D.Op = DOp::Nop;
-          P.Code.push_back(D);
-          continue;
-        }
         D.BOp = In.BOp;
         D.A = In.A;
         D.B = In.B;

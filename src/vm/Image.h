@@ -52,7 +52,6 @@
 namespace pathfuzz {
 namespace instr {
 class ShadowEdgeIndex;
-struct ElisionPlan;
 } // namespace instr
 namespace vm {
 
@@ -83,12 +82,6 @@ enum class DOp : uint8_t {
   CondBr,
   Switch,
   Ret,
-  /// An elided probe slot in a selective ("cheap") image: consumes its
-  /// step and does nothing else. Probe slots are rewritten in place — not
-  /// removed — so the PC layout, PcInfo table, step accounting and
-  /// fault/step-limit coordinates of the cheap image stay byte-identical
-  /// to the fully instrumented one.
-  Nop,
 };
 
 /// One decoded instruction slot. Exactly 32 bytes, two per cache line.
@@ -189,29 +182,19 @@ bool jitEnabled(VmExecMode Mode);
 /// snapshot-reset pristine state). Equal to jitEnabled(Mode).
 bool fastPathEnabled(VmExecMode Mode);
 
-/// Selects the two-tier selective-instrumentation mode for campaign-level
-/// drivers (CampaignOptions::Selective). Auto resolves the
-/// PATHFUZZ_SELECTIVE environment knob (default: on). Like VmMode, the
-/// knob never changes campaign results — selective runs are byte-identical
-/// to always-instrumented ones; it exists for benchmarking and bisection.
+/// Read only by campaignbench/; removed in the next benchmark PR.
 enum class SelectiveMode : uint8_t { Auto, Off, On };
-
-/// Whether Mode resolves to two-tier selective execution. Auto consults
-/// PATHFUZZ_SELECTIVE on every call (tests flip it at runtime).
-bool selectiveEnabled(SelectiveMode Mode);
+/// Read only by campaignbench/; removed in the next benchmark PR.
+inline bool selectiveEnabled(SelectiveMode) { return false; }
 
 /// The immutable decoded form of one (instrumented) module.
 class ProgramImage {
 public:
   /// Decode M. Shadow (the index over the *original* module, as handed to
   /// Vm) resolves per-terminator edge IDs; pass null when shadow-edge
-  /// recording will never be requested. Elide, when non-null, names probe
-  /// slots to rewrite to DOp::Nop (the selective mode's cheap image; see
-  /// instrument/Elide.h) — the slot layout, PcInfo table and step
-  /// accounting are unchanged, only the probes' side effects disappear.
+  /// recording will never be requested.
   static ProgramImage build(const mir::Module &M,
-                            const instr::ShadowEdgeIndex *Shadow,
-                            const instr::ElisionPlan *Elide = nullptr);
+                            const instr::ShadowEdgeIndex *Shadow);
 
   const DInstr *code() const { return Code.data(); }
   size_t codeSize() const { return Code.size(); }

@@ -139,8 +139,6 @@ ExecResult Vm::runInterp(const uint8_t *Input, size_t Len,
   uint64_t PrevLoc = 0;
   uint64_t CallHash = CallHashSeed;
   bool RecordEdges = Opts.RecordShadowEdges && Shadow;
-  const bool DoSig = Fb && Fb->PathSig;
-  uint64_t Sig = 0;
 
   // Materialize globals as the first heap objects (object index == global
   // index), re-initialized on every execution.
@@ -521,13 +519,6 @@ ExecResult Vm::runInterp(const uint8_t *Input, size_t Len,
     case mir::TermKind::Ret:
       break; // handled above
     }
-    // The exec-path signature hashes only *decisions*: slots of CondBr and
-    // Switch. Br/Ret are forced transfers — including them would add
-    // nothing, and excluding them keeps the JIT's per-terminator
-    // accumulation sites identical to these.
-    if (DoSig && T.Kind != mir::TermKind::Br)
-      Sig = hashCombine(Sig, Slot);
-
     if (RecordEdges) {
       uint32_t Id = Shadow->edgeId(Fr.Func, Fr.Block, Slot);
       if (Id != UINT32_MAX && !EdgeSeen[Id]) {
@@ -540,8 +531,6 @@ ExecResult Vm::runInterp(const uint8_t *Input, size_t Len,
   }
 
   R.Steps = Steps;
-  if (DoSig)
-    *Fb->PathSig = Sig;
   if (RecordEdges) {
     std::sort(EdgeTouched.begin(), EdgeTouched.end());
     R.ShadowEdges = EdgeTouched;

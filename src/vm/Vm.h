@@ -155,16 +155,6 @@ struct FeedbackContext {
   /// exec index stamped on those events.
   telemetry::InstanceTrace *Trace = nullptr;
   uint64_t TraceExec = 0;
-  /// Exec-path signature sink for the selective (two-tier) mode: when
-  /// non-null, the engine hashes the sequence of taken successor slots at
-  /// every multi-successor terminator (CondBr taken/not-taken, Switch case
-  /// selection) into *PathSig. Both engines compute the identical value —
-  /// it is a pure function of the branch decisions, which on this
-  /// deterministic VM fully determine the executed instruction stream and
-  /// therefore every coverage-map write. Equal signatures on clean execs
-  /// imply byte-identical coverage traces; the two-tier fuzzer uses that
-  /// to skip the novelty check for already-seen paths (see fuzz/Fuzzer.cpp).
-  uint64_t *PathSig = nullptr;
 };
 
 /// Per-execution limits and switches.

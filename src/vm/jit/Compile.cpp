@@ -17,10 +17,9 @@
 //    are memory slots [r14 + reg*8] — the "spill-free register map" over
 //    the high-water register stack: no allocation, loads fold into
 //    operands, and frames switch by rebasing r14.
-//  - Behavior flags (map, shadow edges, path signature, call hash, cmp
-//    logging) are runtime-tested from the state, so one compiled program
-//    serves every campaign configuration and the cache key stays the
-//    image's own.
+//  - Behavior flags (map, shadow edges, call hash, cmp logging) are
+//    runtime-tested from the state, so one compiled program serves every
+//    campaign configuration and the cache key stays the image's own.
 //  - Bailouts are terminal and out of line: every fault site jumps to a
 //    cold stub recording (FaultKind, BailPC) and returning through the
 //    epilogue; the wrapper rebuilds the Fault from PcInfo. Fault stubs
@@ -305,39 +304,6 @@ private:
     E.bind(Skip);
   }
 
-  /// Path-signature update with a compile-time decision value:
-  /// Sig = mix64(Sig ^ (V + K + (Sig << 6) + (Sig >> 2))).
-  void emitSigUpdate(uint64_t V) {
-    uint32_t Skip = E.label();
-    E.aluMI8(Emitter::CMP, PF_ST(FlagDoSig), 0);
-    E.jcc(CC_E, Skip);
-    E.movRM(RAX, PF_ST(Sig));
-    E.movRR(RCX, RAX);
-    E.shlI(RCX, 6);
-    E.movRR(RDX, RAX);
-    E.shrI(RDX, 2);
-    E.aluRR(Emitter::ADD, RCX, RDX);
-    E.movImm64(RDX, static_cast<int64_t>(V + 0x9e3779b97f4a7c15ULL));
-    E.aluRR(Emitter::ADD, RCX, RDX);
-    E.aluRR(Emitter::XOR, RAX, RCX);
-    // mix64: two xorshift-multiply rounds plus a final fold.
-    E.movRR(RCX, RAX);
-    E.shrI(RCX, 30);
-    E.aluRR(Emitter::XOR, RAX, RCX);
-    E.movImm64(RCX, static_cast<int64_t>(0xbf58476d1ce4e5b9ULL));
-    E.imulRR(RAX, RCX);
-    E.movRR(RCX, RAX);
-    E.shrI(RCX, 27);
-    E.aluRR(Emitter::XOR, RAX, RCX);
-    E.movImm64(RCX, static_cast<int64_t>(0x94d049bb133111ebULL));
-    E.imulRR(RAX, RCX);
-    E.movRR(RCX, RAX);
-    E.shrI(RCX, 31);
-    E.aluRR(Emitter::XOR, RAX, RCX);
-    E.movMR(PF_ST(Sig), RAX);
-    E.bind(Skip);
-  }
-
   /// Jump to a slot label, eliding the jump when the target is the very
   /// next slot (fallthrough).
   void jmpToPc(uint32_t Target, uint32_t Pc) {
@@ -428,8 +394,6 @@ private:
     case DOp::Ret:
       emitRet(I);
       break;
-    case DOp::Nop:
-      break; // elided probe: the step check above is its whole effect
     }
   }
 
@@ -735,13 +699,11 @@ private:
     E.aluMI(Emitter::CMP, reg(I.A), 0);
     uint32_t NotTaken = E.label();
     E.jcc(CC_E, NotTaken);
-    emitSigUpdate(0);
     const uint32_t TakenId = static_cast<uint32_t>(I.Imm);
     if (TakenId != UINT32_MAX)
       emitEdgeRecord(TakenId);
     E.jmp(PcLab[I.X]);
     E.bind(NotTaken);
-    emitSigUpdate(1);
     const uint32_t NotId = static_cast<uint32_t>(static_cast<uint64_t>(I.Imm) >> 32);
     if (NotId != UINT32_MAX)
       emitEdgeRecord(NotId);
@@ -769,7 +731,6 @@ private:
     // elide its jump; every other tail is followed by a sibling tail and
     // must jump explicitly even when its target is Pc+1.
     auto EmitSlotTail = [&](uint32_t Slot, bool IsLastEmitted) {
-      emitSigUpdate(Slot);
       const SuccEntry &SE = Succs[Slot];
       if (SE.EdgeId != UINT32_MAX)
         emitEdgeRecord(SE.EdgeId);

@@ -130,7 +130,6 @@ ExecResult Vm::runJit(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
     RegStack[MainF.PathReg] = MainF.PathRegInit;
 
   const bool DoCallHash = Fb && Fb->CallPathHash && Fb->Map;
-  const bool DoSig = Fb && Fb->PathSig;
 
   jit::JitState S;
   S.RegStack = RegStack.data();
@@ -146,7 +145,6 @@ ExecResult Vm::runJit(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
   S.LineFlags = Fb ? Fb->LineFlags : nullptr;
   S.PrevLoc = 0;
   S.CallHash = CallHashSeed;
-  S.Sig = 0;
   S.Input = Input;
   S.Len = Len;
   S.StepsRemaining = Opts.StepLimit;
@@ -163,7 +161,6 @@ ExecResult Vm::runJit(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
   S.FlagLogCmps = Opts.LogCmps ? 1 : 0;
   S.FlagRecordEdges = RecordEdges ? 1 : 0;
   S.FlagDoCallHash = DoCallHash ? 1 : 0;
-  S.FlagDoSig = DoSig ? 1 : 0;
   S.ObjectsVec = &Objects;
   S.CellsVec = &Cells;
   S.Result = &R;
@@ -196,8 +193,6 @@ ExecResult Vm::runJit(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
     }
   }
 
-  if (DoSig)
-    *Fb->PathSig = S.Sig;
   if (RecordEdges) {
     std::sort(JitEdges.begin(), JitEdges.begin() + S.EdgeTouchedN);
     R.ShadowEdges.assign(JitEdges.begin(), JitEdges.begin() + S.EdgeTouchedN);

@@ -69,7 +69,6 @@ struct JitState {
   uint8_t *LineFlags = nullptr;
   uint64_t PrevLoc = 0;
   uint64_t CallHash = 0;
-  uint64_t Sig = 0;
   const uint8_t *Input = nullptr;
   uint64_t Len = 0;
   /// Step budget, counted down (one `sub 1` + carry check per slot).
@@ -94,8 +93,7 @@ struct JitState {
   uint8_t FlagLogCmps = 0;
   uint8_t FlagRecordEdges = 0;
   uint8_t FlagDoCallHash = 0;
-  uint8_t FlagDoSig = 0;
-  uint8_t Pad0[4] = {0, 0, 0, 0};
+  uint8_t Pad0[5] = {0, 0, 0, 0, 0};
 
   // Helper-only section (cold).
   std::vector<HeapObject> *ObjectsVec = nullptr;

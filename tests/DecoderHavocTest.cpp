@@ -12,7 +12,9 @@
 //  - Fuzzer::restore (checkpoints), both on raw envelope mutants and on
 //    mutated payloads re-sealed with a valid checksum, so the structural
 //    decoder behind the envelope sees them;
-//  - serve::parseRequest (the daemon's request lines).
+//  - serve::parseRequest (the daemon's request lines);
+//  - the durable store's manifest, re-sealed like the restore payloads
+//    and read back through scanStoreRoot and CampaignStore::open.
 //
 // The contract for every mutant: rejected cleanly, or accepted and
 // re-serialized byte-equal to the mutant — a decoder that accepts bytes
@@ -31,6 +33,8 @@
 #include "lang/Compile.h"
 #include "serve/Protocol.h"
 #include "strategy/Campaign.h"
+#include "strategy/Store.h"
+#include "support/Io.h"
 #include "support/Rng.h"
 #include "telemetry/Report.h"
 
@@ -38,10 +42,13 @@
 
 #include <algorithm>
 #include <cstring>
+#include <filesystem>
 #include <functional>
+#include <map>
 
 using namespace pathfuzz;
 using namespace pathfuzz::strategy;
+namespace fs = std::filesystem;
 
 namespace {
 
@@ -431,6 +438,103 @@ TEST(DecoderHavoc, ServeRequests) {
       ASSERT_TRUE(serve::parseRequest(Canon, Again, Err))
           << Text << " -> " << Canon << ": " << Err;
       EXPECT_EQ(canonicalRequest(Again), Canon) << Text;
+    }
+  }
+}
+
+/// Every file under Dir, by relative path, with its bytes.
+std::map<std::string, std::vector<uint8_t>> filesUnder(const std::string &Dir) {
+  std::map<std::string, std::vector<uint8_t>> Out;
+  for (const fs::directory_entry &E : fs::recursive_directory_iterator(Dir)) {
+    if (!E.is_regular_file())
+      continue;
+    std::vector<uint8_t> Bytes;
+    EXPECT_TRUE(io::readFileBounded(E.path().string(), 1u << 24, Bytes));
+    Out[fs::relative(E.path(), Dir).string()] = std::move(Bytes);
+  }
+  return Out;
+}
+
+/// Store manifests, for a campaign still running (with a checkpoint on
+/// disk) and for a finished one (carrying its result). Each mutant of the
+/// manifest payload is re-sealed, so the decoder behind the checksum sees
+/// it, and then either rejected — scanStoreRoot reports the store
+/// corrupt and CampaignStore::open refuses it with an error — or accepted
+/// with a subject, fingerprint and result that re-serialize to the
+/// mutant, and the store opens and recovers under them. Neither outcome
+/// may modify a file of the store.
+TEST(DecoderHavoc, StoreManifests) {
+  const Subject S = subject();
+  test::TempDir Root;
+  uint64_t Seed = 0x3a11f;
+  for (bool Finished : {false, true}) {
+    const std::string Scan = Root.sub(Finished ? "done" : "running");
+    const std::string Dir = Scan + "/store";
+    CampaignOptions O = campaignOpts(FuzzerKind::Path);
+    O.StoreDir = Dir;
+    O.CheckpointInterval = 1000;
+    if (Finished) {
+      CampaignError Err;
+      runStoredCampaign(S, O, &Err);
+      ASSERT_FALSE(Err.Failed) << Err.Message;
+    } else {
+      std::string Err;
+      std::unique_ptr<CampaignStore> Store =
+          CampaignStore::open(Dir, S.Name, O, &Err);
+      ASSERT_NE(Store, nullptr) << Err;
+      CampaignOptions Ckpt = campaignOpts(FuzzerKind::Path);
+      Ckpt.CheckpointInterval = 1000;
+      Ckpt.CheckpointSink = [&Store](const std::vector<uint8_t> &Blob) {
+        ASSERT_TRUE(Store->writeCheckpoint(Blob));
+      };
+      runCampaign(S, Ckpt);
+      ASSERT_GT(Store->checkpointsOnDisk(), 0u);
+    }
+    const std::string Manifest = Dir + "/manifest.pfm";
+    std::vector<uint8_t> Sealed, Valid;
+    ASSERT_TRUE(io::readFileBounded(Manifest, 1u << 24, Sealed));
+    ASSERT_TRUE(fuzz::openSnapshot(Sealed, Valid));
+    std::vector<StoreScanEntry> Entries = scanStoreRoot(Scan);
+    ASSERT_EQ(Entries.size(), 1u);
+    ASSERT_EQ(Entries[0].State,
+              Finished ? StoreState::Done : StoreState::Resumable)
+        << Entries[0].Error;
+
+    Havoc Mutate(Seed++, Valid.size());
+    for (int I = 0; I < Rounds; ++I) {
+      const std::vector<uint8_t> M = Mutate(Valid);
+      ASSERT_TRUE(io::atomicWriteFile(Manifest, fuzz::sealSnapshot(M)));
+      const auto Before = filesUnder(Dir);
+      const std::string What = std::string(Finished ? "done" : "running") +
+                               " mutant " + std::to_string(I);
+
+      Entries = scanStoreRoot(Scan);
+      ASSERT_EQ(Entries.size(), 1u) << What;
+      const StoreScanEntry &E = Entries[0];
+      std::string Err;
+      if (E.State == StoreState::Corrupt) {
+        EXPECT_FALSE(E.Error.empty()) << What;
+        EXPECT_EQ(CampaignStore::open(Dir, S.Name, O, &Err), nullptr) << What;
+        EXPECT_FALSE(Err.empty()) << What;
+      } else {
+        ByteWriter W;
+        W.u32(1); // store format version
+        W.str(E.Subject);
+        writeOptionsFingerprint(W, E.Opts);
+        W.u8(E.State == StoreState::Done);
+        if (E.State == StoreState::Done)
+          W.blob(serializeCampaignResult(E.Final));
+        EXPECT_EQ(W.take(), M) << What << " accepted but re-serializes "
+                                  "differently";
+        std::unique_ptr<CampaignStore> Store =
+            CampaignStore::open(Dir, E.Subject, E.Opts, &Err);
+        ASSERT_NE(Store, nullptr) << What << ": " << Err;
+        EXPECT_EQ(Store->done(), E.State == StoreState::Done) << What;
+        std::vector<uint8_t> Ckpt;
+        const bool HasCkpt = Store->checkpointsOnDisk() > 0;
+        EXPECT_EQ(Store->recover(Ckpt), HasCkpt) << What;
+      }
+      EXPECT_TRUE(filesUnder(Dir) == Before) << What << " modified the store";
     }
   }
 }

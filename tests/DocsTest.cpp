@@ -158,11 +158,13 @@ TEST(Docs, ConfigTableMatchesEnvCallSites) {
         << ", which is neither an env call site, a ctest $ENV read, nor a "
         << "CMake option";
 
-  // The engine selector is wired through both sides, and the two nested
-  // boolean knobs it replaced are gone from both.
+  // The engine selector is wired through both sides; the two nested
+  // boolean knobs it replaced and the deleted selective tier's knob are
+  // gone from both.
   EXPECT_TRUE(Used.count("PATHFUZZ_VM_ENGINE"));
   EXPECT_TRUE(Documented.count("PATHFUZZ_VM_ENGINE"));
-  for (const char *Retired : {"PATHFUZZ_VM_FASTPATH", "PATHFUZZ_VM_JIT"}) {
+  for (const char *Retired :
+       {"PATHFUZZ_VM_FASTPATH", "PATHFUZZ_VM_JIT", "PATHFUZZ_SELECTIVE"}) {
     EXPECT_FALSE(Used.count(Retired)) << Retired;
     EXPECT_FALSE(Documented.count(Retired)) << Retired;
   }

@@ -2,8 +2,8 @@
 //
 // Part of the pathfuzz project.
 //
-// Every identity suite in the tree compares two engines (interpreter, fast
-// path, JIT, selective) or two schedules (uninterrupted, resumed, served)
+// Every identity suite in the tree compares two engines (interpreter and
+// JIT) or two schedules (uninterrupted, resumed, served)
 // through the *same* fuzzer code, so a change to the map layer that every
 // configuration shares — reset, classify, novelty, the MapSet collection,
 // the queue checksum, the favored cull — is invisible to them. This suite
@@ -287,9 +287,9 @@ INSTANTIATE_TEST_SUITE_P(All, GoldenDigest,
 // fuzzer instances: instance labels and offsets, the phase-start and cull
 // events with their argument bytes, per-instance metrics and samples, and
 // the number of checkpoints each schedule emits. This table pins those,
-// recorded from the per-kind drivers, on the reference interpreter with
-// selective execution off (the engine-local metric families then hold
-// nothing that differs between engines or runs).
+// recorded from the per-kind drivers, on the reference interpreter (the
+// engine-local metric families then hold nothing that differs between
+// engines or runs).
 
 constexpr uint64_t TraceBudget = 6000;
 constexpr uint64_t TraceCheckpointInterval = 900;
@@ -319,7 +319,6 @@ CampaignOptions tracedGoldenOpts(FuzzerKind Kind) {
   O.Seed = 7;
   O.CullRounds = 3;
   O.VmMode = vm::VmExecMode::Interpreter;
-  O.Selective = vm::SelectiveMode::Off;
   O.Trace.Enabled = true;
   O.Trace.SampleInterval = 512;
   return O;

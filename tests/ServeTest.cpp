@@ -207,6 +207,31 @@ TEST(ServeProtocol, EscapeRoundTripsEveryByte) {
   EXPECT_FALSE(telemetry::jsonStr("{\"k\":\"\\u12\"}", "k", Back));
 }
 
+TEST(ServeProtocol, EveryJsonEscapeDecodesAndOthersAreRefused) {
+  // Each ASCII byte on its own survives jsonEscape -> jsonStr.
+  for (int C = 0; C < 0x80; ++C) {
+    const std::string One(1, static_cast<char>(C));
+    std::string Back;
+    ASSERT_TRUE(telemetry::jsonStr(
+        "{\"k\":\"" + telemetry::jsonEscape(One) + "\"}", "k", Back))
+        << C;
+    EXPECT_EQ(Back, One) << C;
+  }
+  // A client may write the short escapes jsonEscape never emits; each
+  // decodes to its byte, so a backspace or form feed in a subject or id
+  // arrives as that byte, not as the letter.
+  std::string Back;
+  ASSERT_TRUE(telemetry::jsonStr(
+      "{\"k\":\"a\\bb\\fc\\/d\\\"e\\\\f\\ng\\th\\ri\"}", "k", Back));
+  EXPECT_EQ(Back, std::string("a\bb\fc/d\"e\\f\ng\th\ri"));
+  // Anything else after a backslash is not JSON: refused, not kept.
+  for (const char *Bad : {"\\x41", "\\q", "\\a", "\\0", "\\'", "\\U0041"}) {
+    EXPECT_FALSE(telemetry::jsonStr(std::string("{\"k\":\"") + Bad + "\"}",
+                                    "k", Back))
+        << Bad;
+  }
+}
+
 TEST(ServeProtocol, SeriesParsesBothKinds) {
   Request R;
   std::string Err;

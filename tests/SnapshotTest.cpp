@@ -233,6 +233,47 @@ TEST(Snapshot, UntracedFuzzerAcceptsATracedSnapshot) {
   expectSame(Observed::of(A), Observed::of(B));
 }
 
+TEST(Snapshot, TracedFuzzerRestoredFromAnUntracedSnapshotStartsAFreshTrace) {
+  // The reverse direction: a traced fuzzer that has already run restores
+  // an untraced snapshot. Its pre-restore trace must not survive — the
+  // trace counts only what happens after the restore, exactly like a
+  // fresh traced fuzzer that restored the same snapshot.
+  if (!telemetry::Compiled)
+    GTEST_SKIP() << "telemetry compiled out";
+  Harness H(BuggyLoop, instr::Feedback::Path);
+  FuzzerOptions Untraced;
+  Untraced.Seed = 11;
+  Fuzzer U(H.Mod, H.Report, H.Shadow, Untraced);
+  U.addSeed({'B', 'B', 'U', 'x'});
+  U.run(200);
+  const uint64_t AtSnapshot = U.stats().Execs;
+  std::vector<uint8_t> Blob = U.snapshot();
+
+  FuzzerOptions Traced = Untraced;
+  Traced.Trace.Enabled = true;
+  Traced.Trace.SampleInterval = 64;
+  Fuzzer T(H.Mod, H.Report, H.Shadow, Traced);
+  T.addSeed({'B', 'B', 'U', 'x'});
+  T.run(500);
+  ASSERT_GE(T.trace()->metrics().counters().at("execs"), 500u);
+  ASSERT_TRUE(T.restore(Blob));
+  EXPECT_EQ(T.stats().Execs, AtSnapshot);
+  ASSERT_NE(T.trace(), nullptr);
+  EXPECT_EQ(T.trace()->metrics().counters().at("execs"), 0u);
+  EXPECT_EQ(T.trace()->ring().recorded(), 0u);
+  EXPECT_TRUE(T.trace()->samples().empty());
+
+  Fuzzer Fresh(H.Mod, H.Report, H.Shadow, Traced);
+  ASSERT_TRUE(Fresh.restore(Blob));
+  T.run(AtSnapshot + 300);
+  Fresh.run(AtSnapshot + 300);
+  EXPECT_EQ(T.trace()->metrics().counters().at("execs"), 300u);
+  EXPECT_TRUE(T.trace()->metrics() == Fresh.trace()->metrics());
+  EXPECT_EQ(T.trace()->samples(), Fresh.trace()->samples());
+  EXPECT_EQ(T.trace()->ring().events(), Fresh.trace()->ring().events());
+  expectSame(Observed::of(T), Observed::of(Fresh));
+}
+
 TEST(Snapshot, SnapshotItselfDoesNotPerturbTheRun) {
   Harness H1(BuggyLoop, instr::Feedback::Path);
   Harness H2(BuggyLoop, instr::Feedback::Path);

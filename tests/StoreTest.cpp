@@ -44,27 +44,7 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/// Unique scratch directory, removed on scope exit.
-class TempDir {
-public:
-  TempDir() {
-    static int Counter = 0;
-    Path = (fs::temp_directory_path() /
-            ("pathfuzz-store-test-" + std::to_string(::getpid()) + "-" +
-             std::to_string(Counter++)))
-               .string();
-    fs::create_directories(Path);
-  }
-  ~TempDir() {
-    std::error_code Ec;
-    fs::remove_all(Path, Ec);
-  }
-  const std::string &path() const { return Path; }
-  std::string sub(const std::string &Name) const { return Path + "/" + Name; }
-
-private:
-  std::string Path;
-};
+using test::TempDir;
 
 Subject smallSubject() {
   Subject S;

@@ -558,9 +558,9 @@ TEST(Report, CsvEscapesDelimitersInNames) {
 /// Samples and metric values must survive kill+resume exactly; events are
 /// excluded (the checkpointed run records CheckpointWritten markers the
 /// uninterrupted reference never sees), and so are the engine-local
-/// metric families (telemetry::isEngineLocalMetric): a resumed selective
-/// run legitimately replays paths its predecessor already consumed — its
-/// vm.selective.* counters differ while everything observable agrees.
+/// metric families (telemetry::isEngineLocalMetric): a resumed run
+/// legitimately counts its own store.* writes and JIT compiles while
+/// everything observable agrees.
 void expectSameSeries(const CampaignTrace &A, const CampaignTrace &B) {
   EXPECT_EQ(A.Subject, B.Subject);
   EXPECT_EQ(A.Fuzzer, B.Fuzzer);

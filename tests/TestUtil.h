@@ -15,8 +15,11 @@
 #include "support/Rng.h"
 #include "vm/Vm.h"
 
+#include <filesystem>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 namespace pathfuzz {
 namespace test {
@@ -155,6 +158,28 @@ freshSnapshot(strategy::SubjectBuild &SB, instr::Feedback Mode,
     F.addSeed(Seed);
   return F.snapshot();
 }
+
+/// Unique scratch directory, removed on scope exit.
+class TempDir {
+public:
+  TempDir() {
+    static int Counter = 0;
+    Path = (std::filesystem::temp_directory_path() /
+            ("pathfuzz-test-" + std::to_string(::getpid()) + "-" +
+             std::to_string(Counter++)))
+               .string();
+    std::filesystem::create_directories(Path);
+  }
+  ~TempDir() {
+    std::error_code Ec;
+    std::filesystem::remove_all(Path, Ec);
+  }
+  const std::string &path() const { return Path; }
+  std::string sub(const std::string &Name) const { return Path + "/" + Name; }
+
+private:
+  std::string Path;
+};
 
 } // namespace test
 } // namespace pathfuzz

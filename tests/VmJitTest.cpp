@@ -8,12 +8,13 @@
 // fault record (kind, coordinates, stack hash), same step count, same
 // return value, same coverage-map bytes, same shadow edges and cmp log,
 // same heap accounting. docs/JIT.md spells the contract out; this suite
-// pins it:
+// is the one engine-identity suite and pins it:
 //
 //  - every example subject replayed per-exec through interpreter and JIT
-//    across all feedback modes;
+//    across all feedback modes, once on compiled code only and once
+//    alternating with the capacity guard's interpreter fallback;
 //  - a randomized property test over arbitrary generated CFGs (loops,
-//    unreachable blocks, step-limit hangs);
+//    unreachable blocks, step-limit hangs), with the same two passes;
 //  - a step-limit sweep across the exact trip boundary (the countdown
 //    register's wrap must reproduce the reference's StepLimit + 1);
 //  - the line-flag oracle of both engines;
@@ -23,11 +24,18 @@
 //  - whole campaigns on ALL 18 paper subjects x the 4 feedback modes,
 //    compared through serializeCampaignResult;
 //  - traced campaigns whose telemetry must agree apart from the
-//    engine-local vm.jit.* and vm.fastpath.* families;
+//    engine-local vm.jit.* and vm.fastpath.* families, which appear
+//    exactly on the JIT side;
 //  - checkpoint/resume with the engine switched between the two runs
 //    (the engine is excluded from the checkpoint fingerprint);
-//  - the PATHFUZZ_VM_ENGINE knob resolution and the BuildCache compile/hit
-//    accounting.
+//  - the PATHFUZZ_VM_ENGINE knob resolution and the BuildCache
+//    compile/hit accounting.
+//
+// The VmFastPath tests at the end pin the decoded image as the fuzzer
+// wires it, under whatever engine the selector picks: the rule that
+// decodes an image exactly when the JIT runs (an image alone runs the
+// interpreter), the Fuzzer's image-then-JIT wiring and its snapshot
+// reset, engine switches on one Vm, and the vm.fastpath.* telemetry.
 //
 //===----------------------------------------------------------------------===//
 
@@ -48,6 +56,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <sstream>
 
 using namespace pathfuzz;
@@ -119,49 +128,73 @@ void expectSameResult(const vm::ExecResult &A, const vm::ExecResult &B,
   EXPECT_EQ(A.HeapCellsAllocated, B.HeapCellsAllocated) << What;
 }
 
-/// Replay the workload through a fresh interpreter Vm and a fresh JIT Vm
-/// sharing one image + compiled program; compare every observable (result
-/// fields, coverage-map bytes, exec-path signatures) per execution.
-void expectJitIdentity(const mir::Module &M,
-                       const instr::ShadowEdgeIndex *Shadow,
-                       const vm::ProgramImage &Image,
-                       const vm::jit::JitProgram &J,
-                       const std::vector<fuzz::Input> &Inputs,
-                       const uint64_t *FuncKeys, const char *What) {
+/// Replay the workload through a fresh interpreter Vm and Other; compare
+/// every observable (result fields, coverage-map bytes) per execution.
+/// BeforeRun, when given, may adjust the options of input K (both Vms get
+/// the same options) or rewire Other before it runs.
+void expectSameAsInterpreter(
+    const mir::Module &M, const instr::ShadowEdgeIndex *Shadow,
+    vm::Vm &Other, const std::vector<fuzz::Input> &Inputs,
+    const uint64_t *FuncKeys, const std::string &What,
+    const std::function<void(size_t, vm::ExecOptions &)> &BeforeRun = {}) {
   vm::Vm Interp(M, Shadow);
-  vm::Vm Jit(M, Shadow);
-  Jit.attachJit(&J);
-  cov::CoverageMap MapI(16), MapJ(16);
+  cov::CoverageMap MapI(16), MapO(16);
   for (size_t K = 0; K < Inputs.size(); ++K) {
     const fuzz::Input &In = Inputs[K];
     vm::ExecOptions EO;
     EO.StepLimit = 200000;
     EO.LogCmps = true;
+    if (BeforeRun)
+      BeforeRun(K, EO);
     MapI.reset();
-    MapJ.reset();
-    uint64_t SigI = 0, SigJ = 0;
-    vm::FeedbackContext FbI, FbJ;
+    MapO.reset();
+    vm::FeedbackContext FbI, FbO;
     FbI.Map = MapI.data();
     FbI.MapMask = MapI.mask();
     FbI.FuncKeys = FuncKeys;
-    FbI.PathSig = &SigI;
-    FbJ.Map = MapJ.data();
-    FbJ.MapMask = MapJ.mask();
-    FbJ.FuncKeys = FuncKeys;
-    FbJ.PathSig = &SigJ;
+    FbO.Map = MapO.data();
+    FbO.MapMask = MapO.mask();
+    FbO.FuncKeys = FuncKeys;
     vm::ExecResult RI = Interp.run(In.data(), In.size(), EO, &FbI);
-    vm::ExecResult RJ = Jit.run(In.data(), In.size(), EO, &FbJ);
-    expectSameResult(RI, RJ, What);
-    EXPECT_EQ(SigI, SigJ) << What << " input " << K << ": path signatures";
-    EXPECT_EQ(std::memcmp(MapI.data(), MapJ.data(), MapI.size()), 0)
-        << What << " input " << K << ": coverage maps diverge";
+    vm::ExecResult RO = Other.run(In.data(), In.size(), EO, &FbO);
+    const std::string Where = What + " input " + std::to_string(K);
+    expectSameResult(RI, RO, Where.c_str());
+    EXPECT_EQ(std::memcmp(MapI.data(), MapO.data(), MapI.size()), 0)
+        << Where << ": coverage maps diverge";
   }
-  EXPECT_EQ(Jit.jitRunStats().Execs, Inputs.size()) << What;
+}
+
+/// Replay the workload through a fresh interpreter Vm and a fresh JIT Vm
+/// running the compiled program J. With TripGuardOnOdd, every odd input
+/// runs with a call-depth limit the capacity guard refuses, so the JIT Vm
+/// alternates between compiled code and the interpreter fallback, and
+/// every compiled run after a fallback must re-materialize the globals
+/// instead of resetting pages of a prefix it no longer owns.
+void expectJitIdentity(const mir::Module &M,
+                       const instr::ShadowEdgeIndex *Shadow,
+                       const vm::jit::JitProgram &J,
+                       const std::vector<fuzz::Input> &Inputs,
+                       const uint64_t *FuncKeys, const char *What,
+                       bool TripGuardOnOdd = false) {
+  vm::Vm Jit(M, Shadow);
+  Jit.attachJit(&J);
+  expectSameAsInterpreter(M, Shadow, Jit, Inputs, FuncKeys, What,
+                          [TripGuardOnOdd](size_t K, vm::ExecOptions &EO) {
+                            if (TripGuardOnOdd && K % 2)
+                              EO.MaxCallDepth = (1u << 20) + 1;
+                          });
+  const size_t Fallbacks = TripGuardOnOdd ? Inputs.size() / 2 : 0;
+  EXPECT_EQ(Jit.jitRunStats().Execs, Inputs.size() - Fallbacks) << What;
+  EXPECT_EQ(Jit.jitRunStats().Fallbacks, Fallbacks) << What;
+  if (TripGuardOnOdd) {
+    EXPECT_EQ(Jit.resetStats().Resets, 0u) << What;
+  }
 }
 
 /// Per-exec identity on every example subject under every feedback mode,
 /// with the compiled program coming from the BuildCache slot the real
-/// campaign drivers would share.
+/// campaign drivers would share; then the same workload again with the
+/// JIT Vm alternating between compiled code and the interpreter fallback.
 TEST(VmJit, ExampleSubjectsIdentity) {
   if (!vm::jit::available())
     GTEST_SKIP() << "JIT unsupported on this platform";
@@ -178,9 +211,12 @@ TEST(VmJit, ExampleSubjectsIdentity) {
       ASSERT_NE(IB.Jit, nullptr);
       std::string What =
           S.Name + "/feedback" + std::to_string(static_cast<int>(Mode));
-      expectJitIdentity(IB.Mod, &SB->shadow(), *IB.Image, *IB.Jit,
-                        workload(S, 48, 0x5eedbeef),
+      const std::vector<fuzz::Input> Inputs = workload(S, 48, 0x5eedbeef);
+      expectJitIdentity(IB.Mod, &SB->shadow(), *IB.Jit, Inputs,
                         IB.Report.FuncKeys.data(), What.c_str());
+      expectJitIdentity(IB.Mod, &SB->shadow(), *IB.Jit, Inputs,
+                        IB.Report.FuncKeys.data(), What.c_str(),
+                        /*TripGuardOnOdd=*/true);
     }
   }
 }
@@ -238,7 +274,8 @@ TEST(VmJit, LineFlagsMarkExactlyNonzeroLines) {
 
 /// Randomized property test: arbitrary generated CFGs (back edges, self
 /// loops, unreachable blocks, step-limit hangs) must execute identically
-/// through compiled code and the interpreter.
+/// through compiled code and the interpreter, also when the JIT Vm
+/// alternates with the interpreter fallback.
 TEST(VmJit, RandomizedMirIdentity) {
   if (!vm::jit::available())
     GTEST_SKIP() << "JIT unsupported on this platform";
@@ -263,8 +300,10 @@ TEST(VmJit, RandomizedMirIdentity) {
       Inputs.push_back(std::move(In));
     }
     std::string What = "random trial " + std::to_string(Trial);
-    expectJitIdentity(M, &Shadow, Image, *J, Inputs, Rep.FuncKeys.data(),
+    expectJitIdentity(M, &Shadow, *J, Inputs, Rep.FuncKeys.data(),
                       What.c_str());
+    expectJitIdentity(M, &Shadow, *J, Inputs, Rep.FuncKeys.data(),
+                      What.c_str(), /*TripGuardOnOdd=*/true);
   }
 }
 
@@ -479,7 +518,8 @@ template <typename MapT> MapT withoutEngineLocalFamilies(const MapT &In) {
 }
 
 /// Traced campaigns: byte-identical findings, identical observable
-/// telemetry, and the vm.jit.* family present exactly on the JIT side.
+/// telemetry, and the vm.jit.* and vm.fastpath.* families present exactly
+/// on the JIT side.
 TEST(VmJit, CampaignTelemetryIdentity) {
   if (!vm::jit::available())
     GTEST_SKIP() << "JIT unsupported on this platform";
@@ -519,9 +559,9 @@ TEST(VmJit, CampaignTelemetryIdentity) {
                 withoutEngineLocalFamilies(B.Metrics.gauges()));
       EXPECT_TRUE(telemetry::sameObservableMetrics(A.Metrics, B.Metrics));
       // The JIT campaign must actually carry the families, with at least
-      // every counted execution served by compiled code (the selective
-      // cheap tier and queue replays run extra JIT executions on top of
-      // the budgeted ones, so >= rather than ==)...
+      // every counted execution served by compiled code (queue replays
+      // run extra JIT executions on top of the budgeted ones, so >=
+      // rather than ==)...
       ASSERT_TRUE(B.Metrics.counters().count("vm.jit.execs"));
       EXPECT_GE(B.Metrics.counters().at("vm.jit.execs"),
                 B.Metrics.counters().at("execs"));
@@ -588,12 +628,41 @@ TEST(VmJit, CheckpointResumeAcrossEngines) {
   }
 }
 
+/// Sets PATHFUZZ_VM_ENGINE for one scope and puts the caller's value
+/// back afterwards, so the sanitized interp leg's setting survives.
+class EngineKnob {
+public:
+  EngineKnob() {
+    if (const char *V = std::getenv("PATHFUZZ_VM_ENGINE")) {
+      Had = true;
+      Saved = V;
+    }
+  }
+  ~EngineKnob() {
+    if (Had)
+      setenv("PATHFUZZ_VM_ENGINE", Saved.c_str(), 1);
+    else
+      unsetenv("PATHFUZZ_VM_ENGINE");
+  }
+  void set(const char *V) {
+    if (V)
+      setenv("PATHFUZZ_VM_ENGINE", V, 1);
+    else
+      unsetenv("PATHFUZZ_VM_ENGINE");
+  }
+
+private:
+  bool Had = false;
+  std::string Saved;
+};
+
 /// The engine-selection knob: VmMode::Jit forces compiled execution where
 /// available, Auto follows PATHFUZZ_VM_ENGINE (default jit; anything
 /// other than "interp" means the default), and the image is wanted
 /// exactly when the JIT runs.
 TEST(VmJit, ModeResolution) {
   const bool Avail = vm::jit::available();
+  EngineKnob Knob;
   auto expectMode = [](vm::VmExecMode Mode, bool Jit) {
     EXPECT_EQ(vm::jitEnabled(Mode), Jit);
     EXPECT_EQ(vm::fastPathEnabled(Mode), Jit);
@@ -601,18 +670,17 @@ TEST(VmJit, ModeResolution) {
   expectMode(vm::VmExecMode::Interpreter, false);
   expectMode(vm::VmExecMode::Jit, Avail);
 
-  unsetenv("PATHFUZZ_VM_ENGINE");
+  Knob.set(nullptr);
   expectMode(vm::VmExecMode::Auto, Avail);
-  setenv("PATHFUZZ_VM_ENGINE", "interp", 1);
+  Knob.set("interp");
   expectMode(vm::VmExecMode::Auto, false);
   // A forced mode ignores the knob.
   expectMode(vm::VmExecMode::Jit, Avail);
-  setenv("PATHFUZZ_VM_ENGINE", "jit", 1);
+  Knob.set("jit");
   expectMode(vm::VmExecMode::Auto, Avail);
   expectMode(vm::VmExecMode::Interpreter, false);
-  setenv("PATHFUZZ_VM_ENGINE", "bogus", 1);
+  Knob.set("bogus");
   expectMode(vm::VmExecMode::Auto, Avail);
-  unsetenv("PATHFUZZ_VM_ENGINE");
 }
 
 /// BuildCache accounting: one native compile per (subject, feedback)
@@ -650,6 +718,283 @@ TEST(VmJit, BuildCacheCompileOncePerSlot) {
   // A different feedback mode is a different slot: fresh compile.
   SB->instrumented(instr::Feedback::EdgePrecise, JitO);
   EXPECT_EQ(Cache.programsJitted(), 2u);
+}
+
+//===----------------------------------------------------------------------===//
+// The decoded image (vm::ProgramImage) as the fuzzer wires it. The image
+// is the JIT's input and the source of its snapshot reset; on its own it
+// changes nothing observable, because a Vm holding only an image runs the
+// reference interpreter. These tests follow the engine selector
+// (VmExecMode::Auto) where the fuzzer does, so they hold under any
+// PATHFUZZ_VM_ENGINE value and on hosts without the JIT. Their suite name
+// keeps the vm::fastPathEnabled / vm.fastpath.* vocabulary of the code
+// they pin.
+//===----------------------------------------------------------------------===//
+
+/// The selector as the image sees it: fastPathEnabled is true exactly
+/// when the JIT runs, the retired "fastpath" value of PATHFUZZ_VM_ENGINE
+/// means the default like any unknown value, the BuildCache decodes a
+/// slot's image exactly when fastPathEnabled says so, and a Vm holding
+/// only an image runs the reference interpreter without a snapshot reset.
+TEST(VmFastPath, ModeResolution) {
+  const bool Avail = vm::jit::available();
+  EngineKnob Knob;
+  EXPECT_FALSE(vm::fastPathEnabled(vm::VmExecMode::Interpreter));
+  EXPECT_EQ(vm::fastPathEnabled(vm::VmExecMode::Jit), Avail);
+
+  Knob.set(nullptr);
+  EXPECT_EQ(vm::fastPathEnabled(vm::VmExecMode::Auto), Avail);
+  Knob.set("fastpath");
+  EXPECT_EQ(vm::fastPathEnabled(vm::VmExecMode::Auto), Avail);
+  EXPECT_EQ(vm::jitEnabled(vm::VmExecMode::Auto), Avail);
+  Knob.set("interp");
+  EXPECT_FALSE(vm::fastPathEnabled(vm::VmExecMode::Auto));
+  // A forced mode ignores the knob.
+  EXPECT_EQ(vm::fastPathEnabled(vm::VmExecMode::Jit), Avail);
+
+  // One BuildCache slot per mode: the image is there exactly when the
+  // selector wants it (interp is still set, so Auto means interpreter).
+  std::vector<Subject> Examples = exampleSubjects();
+  for (vm::VmExecMode Mode : {vm::VmExecMode::Interpreter,
+                              vm::VmExecMode::Auto, vm::VmExecMode::Jit}) {
+    BuildCache Cache;
+    CampaignOptions O;
+    O.VmMode = Mode;
+    std::shared_ptr<SubjectBuild> SB = Cache.get(Examples[0]);
+    const InstrumentedBuild &IB = SB->instrumented(instr::Feedback::Path, O);
+    const bool Want = vm::fastPathEnabled(Mode);
+    EXPECT_EQ(IB.Image != nullptr, Want) << static_cast<int>(Mode);
+    EXPECT_EQ(SB->imageBuilds(), Want ? 1u : 0u) << static_cast<int>(Mode);
+  }
+
+  // An image without compiled code: the reference interpreter serves
+  // every run and no snapshot reset happens.
+  BuildCache Cache;
+  std::shared_ptr<SubjectBuild> SB = Cache.get(Examples[3]);
+  CampaignOptions O;
+  O.VmMode = vm::VmExecMode::Interpreter;
+  const InstrumentedBuild &IB = SB->instrumented(instr::Feedback::Path, O);
+  vm::ProgramImage Image = vm::ProgramImage::build(IB.Mod, &SB->shadow());
+  vm::Vm ImageOnly(IB.Mod, &SB->shadow());
+  ImageOnly.attachImage(&Image);
+  expectSameAsInterpreter(IB.Mod, &SB->shadow(), ImageOnly,
+                          workload(Examples[3], 8, 0x1ace),
+                          IB.Report.FuncKeys.data(), "image only");
+  EXPECT_FALSE(ImageOnly.usingJit());
+  EXPECT_EQ(ImageOnly.jitRunStats().Execs, 0u);
+  EXPECT_EQ(ImageOnly.resetStats().Resets, 0u);
+}
+
+/// The fuzzer's wiring under the default selector: on every example
+/// subject and feedback mode, the BuildCache slot carries an image and a
+/// compiled program exactly when fastPathEnabled(Auto), and a Vm wired
+/// from it the way the Fuzzer wires one (image, then compiled code)
+/// matches the interpreter per exec. On the JIT every run after the first
+/// is served by the snapshot reset of the pages the previous run dirtied.
+TEST(VmFastPath, ExampleSubjectsIdentity) {
+  const bool ImageInUse = vm::fastPathEnabled(vm::VmExecMode::Auto);
+  for (const Subject &S : exampleSubjects()) {
+    BuildCache Cache;
+    std::shared_ptr<SubjectBuild> SB = Cache.get(S);
+    ASSERT_TRUE(SB->ok()) << S.Name;
+    CampaignOptions O; // VmMode = Auto: whatever PATHFUZZ_VM_ENGINE picks
+    for (instr::Feedback Mode :
+         {instr::Feedback::None, instr::Feedback::EdgePrecise,
+          instr::Feedback::EdgeClassic, instr::Feedback::Path}) {
+      const InstrumentedBuild &IB = SB->instrumented(Mode, O);
+      const std::string What =
+          S.Name + "/feedback" + std::to_string(static_cast<int>(Mode));
+      EXPECT_EQ(IB.Image != nullptr, ImageInUse) << What;
+      EXPECT_EQ(IB.Jit != nullptr, ImageInUse) << What;
+
+      vm::Vm Wired(IB.Mod, &SB->shadow());
+      if (IB.Image)
+        Wired.attachImage(IB.Image.get());
+      if (IB.Jit)
+        Wired.attachJit(IB.Jit.get());
+      const std::vector<fuzz::Input> Inputs = workload(S, 48, 0x5eedbeef);
+      expectSameAsInterpreter(IB.Mod, &SB->shadow(), Wired, Inputs,
+                              IB.Report.FuncKeys.data(), What);
+      EXPECT_EQ(Wired.usingJit(), ImageInUse) << What;
+      EXPECT_EQ(Wired.jitRunStats().Execs, ImageInUse ? Inputs.size() : 0u)
+          << What;
+      EXPECT_EQ(Wired.resetStats().Resets,
+                ImageInUse ? Inputs.size() - 1 : 0u)
+          << What;
+    }
+  }
+}
+
+/// The line-flag oracle across engine switches on one Vm: on every
+/// example subject and feedback mode, a Vm wired from the default-selector
+/// slot, then given an image of its own (which detaches any compiled code,
+/// so the interpreter runs), then wired to the slot again flags exactly
+/// the lines its map bumps left nonzero at every stage, for the PathAFL
+/// call hash on and off and two map sizes.
+TEST(VmFastPath, LineFlagsMarkExactlyNonzeroLines) {
+  for (const Subject &S : exampleSubjects()) {
+    BuildCache Cache;
+    std::shared_ptr<SubjectBuild> SB = Cache.get(S);
+    ASSERT_TRUE(SB->ok()) << S.Name;
+    CampaignOptions O; // VmMode = Auto
+    const std::vector<fuzz::Input> Inputs = workload(S, 24, 0x11fe);
+    for (instr::Feedback Mode :
+         {instr::Feedback::None, instr::Feedback::EdgePrecise,
+          instr::Feedback::EdgeClassic, instr::Feedback::Path}) {
+      const InstrumentedBuild &IB = SB->instrumented(Mode, O);
+      vm::ProgramImage Own = vm::ProgramImage::build(IB.Mod, &SB->shadow());
+      vm::Vm Machine(IB.Mod, &SB->shadow());
+      for (int Stage = 0; Stage < 3; ++Stage) {
+        if (Stage == 1) {
+          Machine.attachImage(&Own);
+        } else {
+          if (IB.Image)
+            Machine.attachImage(IB.Image.get());
+          if (IB.Jit)
+            Machine.attachJit(IB.Jit.get());
+        }
+        const std::string Where = S.Name + "/feedback" +
+                                  std::to_string(static_cast<int>(Mode)) +
+                                  " stage " + std::to_string(Stage);
+        EXPECT_EQ(Machine.usingJit(), Stage != 1 && IB.Jit != nullptr)
+            << Where;
+        for (uint32_t Log2 : {10u, 16u}) {
+          for (bool CallHash : {false, true}) {
+            EXPECT_EQ(test::lineFlagMismatch(Machine, Inputs, Log2,
+                                             IB.Report.FuncKeys.data(),
+                                             CallHash),
+                      "")
+                << Where << "/2^" << Log2 << (CallHash ? "/callhash" : "");
+          }
+        }
+      }
+      EXPECT_EQ(Machine.jitRunStats().Execs,
+                IB.Jit ? 2 * 4 * Inputs.size() : 0u)
+          << S.Name;
+    }
+  }
+}
+
+/// Randomized engine switching: on arbitrary generated CFGs (back edges,
+/// self loops, unreachable blocks, step-limit hangs) instrumented with
+/// edge or Ball-Larus path probes, one Vm is rewired before every input —
+/// compiled code twice in a row (where the JIT is available), then its
+/// image alone, then no image at all — and still matches a plain
+/// interpreter per exec. Only the second compiled run of each pair resets
+/// pages; the first re-materializes the globals the interpreter dropped.
+TEST(VmFastPath, RandomizedMirIdentity) {
+  const bool Avail = vm::jit::available();
+  Rng R(20260807);
+  for (int Trial = 0; Trial < 150; ++Trial) {
+    mir::Module M = test::moduleWith(test::randomFunction(R));
+    instr::ShadowEdgeIndex Shadow = instr::ShadowEdgeIndex::build(M);
+    instr::InstrumentOptions IO;
+    IO.Mode = Trial % 2 ? instr::Feedback::Path : instr::Feedback::EdgePrecise;
+    IO.Seed = R.below(1u << 30);
+    instr::InstrumentReport Rep = instr::instrumentModule(M, IO);
+    vm::ProgramImage Image = vm::ProgramImage::build(M, &Shadow);
+    std::unique_ptr<vm::jit::JitProgram> J;
+    if (Avail) {
+      J = vm::jit::JitProgram::compile(Image);
+      ASSERT_NE(J, nullptr);
+    }
+
+    std::vector<fuzz::Input> Inputs;
+    for (int K = 0; K < 8; ++K) {
+      fuzz::Input In(R.below(12));
+      for (uint8_t &B : In)
+        B = static_cast<uint8_t>(R.below(256));
+      Inputs.push_back(std::move(In));
+    }
+    const std::string What = "random trial " + std::to_string(Trial);
+    vm::Vm Switching(M, &Shadow);
+    expectSameAsInterpreter(
+        M, &Shadow, Switching, Inputs, Rep.FuncKeys.data(), What,
+        [&](size_t K, vm::ExecOptions &) {
+          switch (K % 4) {
+          case 0:
+            if (J)
+              Switching.attachJit(J.get());
+            else
+              Switching.attachImage(&Image);
+            break;
+          case 1: // stay on compiled code: the snapshot-reset path
+            break;
+          case 2:
+            Switching.attachJit(nullptr); // the image alone
+            break;
+          case 3:
+            Switching.attachImage(nullptr);
+            break;
+          }
+          EXPECT_EQ(Switching.usingJit(), J && K % 4 < 2) << What;
+        });
+    EXPECT_EQ(Switching.jitRunStats().Execs, J ? Inputs.size() / 2 : 0u)
+        << What;
+    EXPECT_EQ(Switching.resetStats().Resets, J ? Inputs.size() / 4 : 0u)
+        << What;
+  }
+}
+
+/// Whole campaigns under the default selector: byte-identical findings
+/// and (minus engine-local families) identical telemetry to interpreter
+/// campaigns, and the trace carries the vm.fastpath.* family (the image
+/// size as decoded by the BuildCache) exactly when the image is in use.
+TEST(VmFastPath, CampaignIdentityAndTelemetry) {
+  std::vector<Subject> Examples = exampleSubjects();
+  const Subject &S = Examples[4]; // rle: loops over a global buffer
+  const bool ImageInUse = vm::fastPathEnabled(vm::VmExecMode::Auto);
+  int64_t ImageBytes = 0;
+  if (ImageInUse) {
+    BuildCache Cache;
+    CampaignOptions O;
+    const InstrumentedBuild &IB =
+        Cache.get(S)->instrumented(instr::Feedback::Path, O);
+    ASSERT_NE(IB.Image, nullptr);
+    ImageBytes = static_cast<int64_t>(IB.Image->byteSize());
+    ASSERT_GT(ImageBytes, 0);
+  }
+  for (FuzzerKind Kind : {FuzzerKind::Path, FuzzerKind::Afl}) {
+    CampaignOptions Interp;
+    Interp.Kind = Kind;
+    Interp.ExecBudget = 4000;
+    Interp.Seed = 11;
+    Interp.Trace.Enabled = true;
+    Interp.Trace.SampleInterval = 512;
+    Interp.VmMode = vm::VmExecMode::Interpreter;
+    CampaignOptions Default = Interp;
+    Default.VmMode = vm::VmExecMode::Auto;
+
+    CampaignResult RI = runCampaign(S, Interp);
+    CampaignResult RD = runCampaign(S, Default);
+    EXPECT_EQ(serializeCampaignResult(RI), serializeCampaignResult(RD))
+        << fuzzerKindName(Kind);
+    if (!telemetry::Compiled)
+      continue; // no recorder to compare
+
+    ASSERT_NE(RI.Trace, nullptr);
+    ASSERT_NE(RD.Trace, nullptr);
+    ASSERT_EQ(RI.Trace->Instances.size(), RD.Trace->Instances.size());
+    for (size_t K = 0; K < RI.Trace->Instances.size(); ++K) {
+      const telemetry::InstanceRecord &A = RI.Trace->Instances[K];
+      const telemetry::InstanceRecord &B = RD.Trace->Instances[K];
+      EXPECT_EQ(A.Samples, B.Samples);
+      EXPECT_EQ(withoutEngineLocalFamilies(A.Metrics.counters()),
+                withoutEngineLocalFamilies(B.Metrics.counters()));
+      EXPECT_EQ(withoutEngineLocalFamilies(A.Metrics.gauges()),
+                withoutEngineLocalFamilies(B.Metrics.gauges()));
+      EXPECT_EQ(B.Metrics.gauges().count("vm.fastpath.image.bytes") != 0,
+                ImageInUse);
+      EXPECT_EQ(B.Metrics.counters().count("vm.fastpath.reset.bytes") != 0,
+                ImageInUse);
+      if (ImageInUse && Kind == FuzzerKind::Path) {
+        EXPECT_EQ(B.Metrics.gauges().at("vm.fastpath.image.bytes"),
+                  ImageBytes);
+      }
+      EXPECT_FALSE(A.Metrics.gauges().count("vm.fastpath.image.bytes"));
+      EXPECT_FALSE(A.Metrics.counters().count("vm.fastpath.reset.bytes"));
+    }
+  }
 }
 
 } // namespace
