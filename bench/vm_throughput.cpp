@@ -88,8 +88,10 @@ struct RawEngine {
       Machine.attachJit(IB.Jit.get());
   }
 
-  vm::ExecResult exec(const InstrumentedBuild &IB, const fuzz::Input &In,
-                      bool LogCmps, bool ResetMap) {
+  /// The Vm's own result: valid until this engine's next exec.
+  const vm::ExecResult &exec(const InstrumentedBuild &IB,
+                             const fuzz::Input &In, bool LogCmps,
+                             bool ResetMap) {
     if (ResetMap)
       Map.reset();
     vm::FeedbackContext Fb;
@@ -153,9 +155,9 @@ RawMeasurement measureRaw(const Subject &S, const InstrumentedBuild &IB,
     Eng.emplace_back(IB, SB.shadow(), Spec);
 
   for (const fuzz::Input &In : Inputs) {
-    vm::ExecResult Base = Eng[0].exec(IB, In, /*LogCmps=*/true, true);
+    const vm::ExecResult &Base = Eng[0].exec(IB, In, /*LogCmps=*/true, true);
     for (size_t I = 1; I < N; ++I) {
-      vm::ExecResult R = Eng[I].exec(IB, In, /*LogCmps=*/true, true);
+      const vm::ExecResult &R = Eng[I].exec(IB, In, /*LogCmps=*/true, true);
       M.Identical[I] = M.Identical[I] && sameResult(Base, R) &&
                        std::memcmp(Eng[0].Map.data(), Eng[I].Map.data(),
                                    Eng[0].Map.size()) == 0;

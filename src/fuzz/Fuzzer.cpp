@@ -61,7 +61,7 @@ void Fuzzer::startTrace() {
   }
 }
 
-vm::ExecResult Fuzzer::executeRaw(const Input &Data, bool LogCmps) {
+const vm::ExecResult &Fuzzer::execute(const Input &Data, bool LogCmps) {
   // Map work scales with what the previous execution touched: only its
   // lines are zeroed, and the engine flags the lines this one writes.
   Trace.resetTouched();
@@ -78,7 +78,7 @@ vm::ExecResult Fuzzer::executeRaw(const Input &Data, bool LogCmps) {
 
   vm::ExecOptions EO = Opts.Exec;
   EO.LogCmps = LogCmps;
-  vm::ExecResult Res = Machine.run(Data.data(), Data.size(), EO, &Fb);
+  const vm::ExecResult &Res = Machine.run(Data.data(), Data.size(), EO, &Fb);
   Trace.collectTouched();
   return Res;
 }
@@ -213,7 +213,10 @@ bool Fuzzer::processResult(const Input &Data, const vm::ExecResult &Res,
   E.Steps = Res.Steps;
   E.Depth = Depth;
   E.FoundAtExec = Stats.Execs;
+  // The Vm lists edges in first-traversal order; a kept entry stores
+  // them sorted (the cull and the snapshot format expect that).
   E.EdgeSet = Res.ShadowEdges;
+  std::sort(E.EdgeSet.begin(), E.EdgeSet.end());
   Trace.appendNonzeroTouched(E.MapSet);
   E.Density = static_cast<uint32_t>(E.MapSet.size());
 
@@ -236,8 +239,7 @@ void Fuzzer::seedDict(const std::vector<int64_t> &Values) {
 void Fuzzer::addSeed(const Input &Data) {
   // Seeds are always retained, novelty or not (AFL keeps all seeds),
   // unless they crash or hang outright.
-  vm::ExecResult Res = executeRaw(Data, Opts.UseCmpDict);
-  processResult(Data, Res, 0, /*ForceAdd=*/true);
+  processResult(Data, execute(Data, Opts.UseCmpDict), 0, /*ForceAdd=*/true);
 }
 
 uint32_t Fuzzer::energyFor(const QueueEntry &E) const {
@@ -336,12 +338,13 @@ void Fuzzer::run(uint64_t ExecBudget) {
 
     uint32_t Energy = energyFor(E);
     uint32_t Depth = E.Depth + 1;
-    Input Base = E.Data; // E may be invalidated by queue growth
+    // E may be invalidated by queue growth: mutate copies of its input.
+    Base.assign(E.Data.begin(), E.Data.end());
     Q.markFuzzed(Index);
 
     for (uint32_t I = 0; I < Energy && Stats.Execs < ExecBudget && !stopNow();
          ++I) {
-      Input Data = Base;
+      Mutant.assign(Base.begin(), Base.end());
       bool DoSplice = Q.size() > 1 && R.chance(Opts.SplicePercent, 100);
       if (DoSplice) {
         // Re-draw when the donor is the entry being fuzzed (AFL does the
@@ -349,15 +352,14 @@ void Fuzzer::run(uint64_t ExecBudget) {
         size_t Donor = R.index(Q.size());
         while (Donor == Index)
           Donor = R.index(Q.size());
-        Mut.splice(Data, Q[Donor].Data, CmpDict);
+        Mut.splice(Mutant, Q[Donor].Data, CmpDict);
       } else {
-        Mut.havoc(Data, CmpDict);
+        Mut.havoc(Mutant, CmpDict);
       }
       // Log comparisons on a small fraction of runs to refresh the
       // dictionary without paying the cost everywhere.
       bool LogCmps = Opts.UseCmpDict && R.oneIn(16);
-      vm::ExecResult Res = executeRaw(Data, LogCmps);
-      processResult(Data, Res, Depth);
+      processResult(Mutant, execute(Mutant, LogCmps), Depth);
     }
   }
 }

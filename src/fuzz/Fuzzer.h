@@ -236,7 +236,10 @@ public:
 
   /// Execute one input under this fuzzer's feedback without corpus or
   /// novelty bookkeeping (exposed for tools, calibration and tests).
-  vm::ExecResult executeRaw(const Input &Data, bool LogCmps = false);
+  /// Returns a copy; the fuzz loop itself reads the Vm's result in place.
+  vm::ExecResult executeRaw(const Input &Data, bool LogCmps = false) {
+    return execute(Data, LogCmps);
+  }
 
   Corpus &corpus() { return Q; }
   const Corpus &corpus() const { return Q; }
@@ -265,6 +268,9 @@ public:
   const telemetry::InstanceTrace *trace() const { return Tr.get(); }
 
 private:
+  /// executeRaw without the copy: the Vm's own result, valid until the
+  /// next execution.
+  const vm::ExecResult &execute(const Input &Data, bool LogCmps);
   /// Process one executed input; returns true if it was added to the
   /// corpus. ForceAdd retains the input even without coverage novelty
   /// (seeds).
@@ -303,6 +309,10 @@ private:
 
   CycleScheduler Sched;
   uint64_t AvgStepsNum = 0, AvgStepsDen = 0;
+  /// run()'s scratch inputs, reused across executions so they keep their
+  /// capacity: the entry being fuzzed and the current mutant. Never part
+  /// of a snapshot.
+  Input Base, Mutant;
   /// Latched when StopRequest stopped the last run() (see preempted()).
   bool PreemptHit = false;
 

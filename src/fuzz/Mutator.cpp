@@ -99,10 +99,11 @@ void Mutator::mutateOnce(Input &Data, const std::vector<int64_t> &Dict) {
   case 7: { // clone a block (insert)
     size_t Len = 1 + R.index(std::min<size_t>(Data.size(), 16));
     size_t From = R.index(Data.size() - Len + 1);
-    Input Block(Data.begin() + static_cast<long>(From),
-                Data.begin() + static_cast<long>(From + Len));
+    // Copied out first: the insert may reallocate or shift the source.
+    uint8_t Block[16];
+    std::memcpy(Block, Data.data() + From, Len);
     size_t To = R.index(Data.size() + 1);
-    insertBytes(Data, To, Block.data(), Block.size());
+    insertBytes(Data, To, Block, Len);
     break;
   }
   case 8: { // insert random bytes
@@ -127,8 +128,9 @@ void Mutator::mutateOnce(Input &Data, const std::vector<int64_t> &Dict) {
     size_t Len = 1 + R.below(16);
     uint8_t Byte =
         Data.empty() ? static_cast<uint8_t>(R.next()) : Data[R.index(Data.size())];
-    Input Block(Len, Byte);
-    insertBytes(Data, R.index(Data.size() + 1), Block.data(), Block.size());
+    uint8_t Block[16];
+    std::memset(Block, Byte, Len);
+    insertBytes(Data, R.index(Data.size() + 1), Block, Len);
     break;
   }
   case 11:   // dictionary overwrite (cmplog / input-to-state analogue)
@@ -150,9 +152,16 @@ void Mutator::mutateOnce(Input &Data, const std::vector<int64_t> &Dict) {
     if (R.oneIn(2) && Data.size() > 1) {
       Data.resize(1 + R.index(Data.size()));
     } else {
-      size_t Target = 1 + R.index(Config.MaxLen);
-      while (Data.size() < Target && Data.size() < Config.MaxLen)
-        Data.push_back(static_cast<uint8_t>(R.next()));
+      // Target never exceeds MaxLen: grow once, then fill the new tail
+      // with one draw per byte.
+      const size_t Target = 1 + R.index(Config.MaxLen);
+      const size_t Old = Data.size();
+      if (Old < Target) {
+        Data.resize(Target);
+        uint8_t *Bytes = Data.data();
+        for (size_t I = Old; I < Target; ++I)
+          Bytes[I] = static_cast<uint8_t>(R.next());
+      }
     }
     break;
   }
@@ -170,15 +179,17 @@ void Mutator::havoc(Input &Data, const std::vector<int64_t> &Dict) {
 void Mutator::splice(Input &Data, const Input &Other,
                      const std::vector<int64_t> &Dict) {
   if (!Other.empty() && !Data.empty()) {
+    // Data[0, CutA) followed by Other[CutB, end), clamped to MaxLen,
+    // built in place. Len is nonzero unless MaxLen is: CutB < Other.size().
     size_t CutA = R.index(Data.size());
     size_t CutB = R.index(Other.size());
-    Input Merged(Data.begin(), Data.begin() + static_cast<long>(CutA));
-    Merged.insert(Merged.end(), Other.begin() + static_cast<long>(CutB),
-                  Other.end());
-    if (Merged.size() > Config.MaxLen)
-      Merged.resize(Config.MaxLen);
-    if (!Merged.empty())
-      Data = std::move(Merged);
+    const size_t Len = std::min(CutA + (Other.size() - CutB), Config.MaxLen);
+    if (Len != 0) {
+      const size_t Head = std::min(CutA, Len);
+      Data.resize(Head);
+      Data.insert(Data.end(), Other.begin() + static_cast<long>(CutB),
+                  Other.begin() + static_cast<long>(CutB + (Len - Head)));
+    }
   }
   havoc(Data, Dict);
 }

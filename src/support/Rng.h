@@ -67,13 +67,17 @@ public:
   /// Uniform value in [0, Bound). Bound must be nonzero.
   uint64_t below(uint64_t Bound) {
     assert(Bound != 0 && "below() requires a nonzero bound");
-    // Debiased via rejection on the top of the range.
-    uint64_t Threshold = -Bound % Bound;
-    for (;;) {
-      uint64_t R = next();
-      if (R >= Threshold)
-        return R % Bound;
+    // Debiased by rejecting the lowest 2^64 mod Bound draws. That
+    // threshold (-Bound % Bound) is below Bound, so a draw of at least
+    // Bound is accepted without computing it: one division per draw, and
+    // the same value and stream position as the full rejection loop.
+    uint64_t R = next();
+    if (R < Bound) {
+      const uint64_t Threshold = -Bound % Bound;
+      while (R < Threshold)
+        R = next();
     }
+    return R % Bound;
   }
 
   /// Uniform value in [Lo, Hi] inclusive.

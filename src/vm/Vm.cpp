@@ -103,8 +103,8 @@ void Vm::attachJit(const jit::JitProgram *J) {
   Jp = J;
 }
 
-ExecResult Vm::run(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
-                   FeedbackContext *Fb) {
+const ExecResult &Vm::run(const uint8_t *Input, size_t Len,
+                          const ExecOptions &Opts, FeedbackContext *Fb) {
   // Give a caller that does not read line flags a scratch sink, so every
   // engine can mark lines unconditionally.
   FeedbackContext WithFlags;
@@ -116,17 +116,20 @@ ExecResult Vm::run(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
     WithFlags.LineFlags = ScratchLineFlags.data();
     Fb = &WithFlags;
   }
+  Res.clear();
   if (Jp)
-    return runJit(Input, Len, Opts, Fb);
-  return runInterp(Input, Len, Opts, Fb);
+    runJit(Input, Len, Opts, Fb);
+  else
+    runInterp(Input, Len, Opts, Fb);
+  return Res;
 }
 
-ExecResult Vm::runInterp(const uint8_t *Input, size_t Len,
-                         const ExecOptions &Opts, FeedbackContext *Fb) {
+void Vm::runInterp(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
+                   FeedbackContext *Fb) {
   // An interpreter run rebuilds Objects/Cells from scratch below, clobbering
   // any persistent globals prefix a JIT run may have left behind.
   GlobalsLive = false;
-  ExecResult R;
+  ExecResult &R = Res;
 
   Frames.clear();
   RegStack.clear();
@@ -523,7 +526,7 @@ ExecResult Vm::runInterp(const uint8_t *Input, size_t Len,
       uint32_t Id = Shadow->edgeId(Fr.Func, Fr.Block, Slot);
       if (Id != UINT32_MAX && !EdgeSeen[Id]) {
         EdgeSeen[Id] = 1;
-        EdgeTouched.push_back(Id);
+        R.ShadowEdges.push_back(Id);
       }
     }
     Fr.Block = T.Succs[Slot];
@@ -531,14 +534,8 @@ ExecResult Vm::runInterp(const uint8_t *Input, size_t Len,
   }
 
   R.Steps = Steps;
-  if (RecordEdges) {
-    std::sort(EdgeTouched.begin(), EdgeTouched.end());
-    R.ShadowEdges = EdgeTouched;
-    for (uint32_t Id : EdgeTouched)
-      EdgeSeen[Id] = 0;
-    EdgeTouched.clear();
-  }
-  return R;
+  for (uint32_t Id : R.ShadowEdges)
+    EdgeSeen[Id] = 0;
 }
 
 } // namespace vm

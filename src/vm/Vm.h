@@ -173,7 +173,10 @@ struct ExecResult {
   Fault TheFault;
   uint64_t Steps = 0;
   int64_t ReturnValue = 0;
-  /// Unique shadow edges covered, ascending (empty if not recorded).
+  /// Shadow edges covered, each once, in first-traversal order (empty if
+  /// not recorded). The order is a function of the execution path, so
+  /// both engines produce the same list element for element; it is not
+  /// sorted.
   std::vector<uint32_t> ShadowEdges;
   /// Logged comparison operand values (for the cmplog stage).
   std::vector<int64_t> CmpOperands;
@@ -188,6 +191,19 @@ struct ExecResult {
 
   bool crashed() const { return isCrash(TheFault.Kind); }
   bool hung() const { return TheFault.Kind == FaultKind::StepLimit; }
+
+  /// Back to the default-constructed state, keeping the vectors'
+  /// capacity (the Vm reuses one result across executions).
+  void clear() {
+    TheFault.Kind = FaultKind::None;
+    TheFault.Func = TheFault.Block = TheFault.InstrIdx = 0;
+    TheFault.Stack.clear();
+    Steps = 0;
+    ReturnValue = 0;
+    ShadowEdges.clear();
+    CmpOperands.clear();
+    HeapAllocs = HeapCellsAllocated = DirtyGlobalCells = 0;
+  }
 };
 
 /// Cumulative snapshot-reset accounting of one JIT Vm: how much of the
@@ -210,16 +226,20 @@ struct JitRunStats {
 };
 
 /// The execution engine: the reference interpreter, or compiled code once
-/// a JIT program is attached. One Vm per module; run() is reentrant per
-/// input and reuses internal buffers across executions for speed.
+/// a JIT program is attached. One Vm per module; run() reuses its
+/// internal buffers, the result included, across executions, so a warm
+/// Vm allocates nothing per execution.
 class Vm {
 public:
   /// Shadow may be null to disable shadow-edge recording entirely.
   Vm(const mir::Module &M, const instr::ShadowEdgeIndex *Shadow = nullptr);
 
-  /// Execute @main on the given input.
-  ExecResult run(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
-                 FeedbackContext *Fb = nullptr);
+  /// Execute @main on the given input. The result is owned by the Vm and
+  /// valid until the next run() on it, which overwrites it in place;
+  /// `ExecResult R = Vm.run(...)` keeps a copy.
+  const ExecResult &run(const uint8_t *Input, size_t Len,
+                        const ExecOptions &Opts,
+                        FeedbackContext *Fb = nullptr);
 
   /// Attach the pre-decoded image a compiled program runs over (the JIT
   /// engine's input: PcInfo fault coordinates and the snapshot-reset
@@ -256,14 +276,14 @@ private:
     mir::Reg RetReg = 0;  ///< caller register receiving the return value
   };
 
-  /// The reference interpreter.
-  ExecResult runInterp(const uint8_t *Input, size_t Len,
-                       const ExecOptions &Opts, FeedbackContext *Fb);
+  /// The reference interpreter; fills Res.
+  void runInterp(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
+                 FeedbackContext *Fb);
 
-  /// The JIT engine (jit/Run.cpp). Requires Jp; falls back to runInterp
-  /// when the per-exec capacity guard rejects the options.
-  ExecResult runJit(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
-                    FeedbackContext *Fb);
+  /// The JIT engine (jit/Run.cpp); fills Res. Requires Jp; falls back to
+  /// runInterp when the per-exec capacity guard rejects the options.
+  void runJit(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
+              FeedbackContext *Fb);
 
   /// Snapshot reset: restore the persistent globals prefix of
   /// Objects/Cells to the image's pristine state, touching only pages the
@@ -277,12 +297,12 @@ private:
   std::vector<uint8_t> ScratchLineFlags;
 
   // Reused per-execution state.
+  ExecResult Res; ///< what run() returns; cleared in place per execution
   std::vector<int64_t> RegStack;
   std::vector<Frame> Frames;
   std::vector<HeapObject> Objects;
   std::vector<int64_t> Cells;
-  std::vector<uint8_t> EdgeSeen;
-  std::vector<uint32_t> EdgeTouched;
+  std::vector<uint8_t> EdgeSeen; ///< shadow edges already in Res
 
   // Snapshot-reset state of the JIT engine (meaningful only while Jp is
   // attached; Img is its image).

@@ -18,9 +18,14 @@
 //    advanced past a faulting slot, un-advanced for a step trip) and the
 //    stack walk reads bytecode SavedPCs out of the JitFrame array with
 //    the reference's exact loop shape.
-//  - Shadow edges are sorted from the flat scratch, the EdgeSeen bitmap
-//    is re-cleared, and the dirty-page list is adopted so the next
-//    snapshot reset restores exactly the pages this run wrote.
+//  - Shadow edges are copied from the flat scratch in the order compiled
+//    code appended them — first traversal, the order the interpreter
+//    records — without sorting; the EdgeSeen bitmap is re-cleared, and
+//    the dirty-page list is adopted so the next snapshot reset restores
+//    exactly the pages this run wrote.
+//
+// The result is the Vm's own ExecResult, cleared in place by Vm::run, so
+// its vectors keep their capacity and a warm execution allocates nothing.
 //
 // The snapshot reset is the fork-server/persistent-mode analogue: globals
 // are materialized once from the image's pristine copy and kept as a
@@ -84,8 +89,8 @@ void Vm::resetGlobalsFromImage() {
   DirtyList.clear();
 }
 
-ExecResult Vm::runJit(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
-                      FeedbackContext *Fb) {
+void Vm::runJit(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
+                FeedbackContext *Fb) {
   const jit::JitProgram &J = *Jp;
   const ProgramImage &P = *Img;
 
@@ -100,10 +105,11 @@ ExecResult Vm::runJit(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
       (MaxDepth + 1) * static_cast<uint64_t>(J.maxFrameRegs()) + 8;
   if (MaxDepth > (uint64_t(1) << 20) || WorstRegs > (uint64_t(1) << 22)) {
     ++JStats.Fallbacks;
-    return runInterp(Input, Len, Opts, Fb);
+    runInterp(Input, Len, Opts, Fb);
+    return;
   }
 
-  ExecResult R;
+  ExecResult &R = Res;
   resetGlobalsFromImage();
 
   if (RegStack.size() < WorstRegs)
@@ -194,7 +200,6 @@ ExecResult Vm::runJit(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
   }
 
   if (RecordEdges) {
-    std::sort(JitEdges.begin(), JitEdges.begin() + S.EdgeTouchedN);
     R.ShadowEdges.assign(JitEdges.begin(), JitEdges.begin() + S.EdgeTouchedN);
     for (uint64_t I = 0; I < S.EdgeTouchedN; ++I)
       EdgeSeen[JitEdges[I]] = 0;
@@ -208,7 +213,6 @@ ExecResult Vm::runJit(const uint8_t *Input, size_t Len, const ExecOptions &Opts,
     Dirty += std::min<uint64_t>(SnapshotPageCells, S.NumGlobalCells - Base);
   }
   R.DirtyGlobalCells = Dirty;
-  return R;
 }
 
 } // namespace vm

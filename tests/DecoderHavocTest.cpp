@@ -14,7 +14,8 @@
 //    decoder behind the envelope sees them;
 //  - serve::parseRequest (the daemon's request lines);
 //  - the durable store's manifest, re-sealed like the restore payloads
-//    and read back through scanStoreRoot and CampaignStore::open.
+//    and read back through scanStoreRoot and CampaignStore::open;
+//  - lang::compileSource, on mutants of the example MiniLang programs.
 //
 // The contract for every mutant: rejected cleanly, or accepted and
 // re-serialized byte-equal to the mutant — a decoder that accepts bytes
@@ -31,6 +32,8 @@
 #include "fuzz/Snapshot.h"
 #include "instrument/Instrument.h"
 #include "lang/Compile.h"
+#include "mir/Printer.h"
+#include "mir/Verifier.h"
 #include "serve/Protocol.h"
 #include "strategy/Campaign.h"
 #include "strategy/Store.h"
@@ -43,8 +46,10 @@
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <functional>
 #include <map>
+#include <sstream>
 
 using namespace pathfuzz;
 using namespace pathfuzz::strategy;
@@ -537,6 +542,50 @@ TEST(DecoderHavoc, StoreManifests) {
       EXPECT_TRUE(filesUnder(Dir) == Before) << What << " modified the store";
     }
   }
+}
+
+/// The MiniLang front end on havoc mutants of every example program.
+/// Each mutant is rejected with a message, or accepted with a module the
+/// MIR verifier passes and that a second compile reproduces exactly (no
+/// state leaks between compiles, no nondeterminism).
+TEST(DecoderHavoc, CompileSource) {
+  const char *const Names[] = {"sum", "lookup", "checksum", "tokens", "rle"};
+  uint64_t Seed = 0xc0de;
+  int Accepted = 0;
+  for (const char *Name : Names) {
+    std::ifstream F(std::string(PATHFUZZ_SOURCE_DIR "/examples/minilang/") +
+                    Name + ".ml");
+    std::ostringstream SS;
+    SS << F.rdbuf();
+    const std::string Source = SS.str();
+    ASSERT_FALSE(Source.empty()) << "missing example " << Name;
+    ASSERT_TRUE(lang::compileSource(Source, Name).ok()) << Name;
+
+    const std::vector<uint8_t> Bytes(Source.begin(), Source.end());
+    Havoc Mutate(Seed++, Bytes.size());
+    for (int I = 0; I < 3000; ++I) {
+      const std::vector<uint8_t> M = Mutate(Bytes);
+      const std::string Text(M.begin(), M.end());
+      const std::string What =
+          std::string(Name) + " mutant " + std::to_string(I);
+      lang::CompileResult CR = lang::compileSource(Text, Name);
+      if (!CR.ok()) {
+        EXPECT_FALSE(CR.Errors.empty()) << What << ": rejected silently";
+        EXPECT_FALSE(CR.message().empty()) << What;
+        continue;
+      }
+      ++Accepted;
+      const mir::VerifyResult V = mir::verifyModule(*CR.Mod);
+      EXPECT_TRUE(V.ok()) << What << ": " << V.message();
+      lang::CompileResult Again = lang::compileSource(Text, Name);
+      ASSERT_TRUE(Again.ok()) << What << ": " << Again.message();
+      EXPECT_EQ(mir::printModule(*Again.Mod), mir::printModule(*CR.Mod))
+          << What;
+    }
+  }
+  // Light stacks often land in a comment, a literal or a name, so some
+  // mutants compile and the accepted branch runs.
+  EXPECT_GT(Accepted, 0);
 }
 
 } // namespace

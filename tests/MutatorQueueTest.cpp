@@ -6,6 +6,7 @@
 
 #include "fuzz/Mutator.h"
 #include "fuzz/Queue.h"
+#include "support/Hashing.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
@@ -76,6 +77,39 @@ TEST(Mutator, SpliceMixesInputs) {
       SawB |= (C == 'b');
   }
   EXPECT_TRUE(SawB);
+}
+
+/// The havoc/splice stream of one seed, pinned: a digest over 20k
+/// outputs (every mutation case, with and without a dictionary, through
+/// the MaxLen clamp) and the Rng state afterwards. A mutator change that
+/// moves either changes every campaign.
+TEST(Mutator, HavocSpliceStreamPinned) {
+  MutatorConfig MC;
+  MC.MaxLen = 96;
+  Rng R(0x5eed);
+  Mutator M(R, MC);
+  const std::vector<int64_t> Dict = {0x41, 7, 300, 65537, -2};
+  const std::vector<int64_t> NoDict;
+  const Input Donor = {'s', 'p', 'l', 'i', 'c', 'e', 0, 1, 2, 3, 4, 5};
+  Input Data = {1, 2, 3, 4, 5, 6, 7, 8};
+  uint64_t H = FnvOffset;
+  for (int I = 0; I < 20000; ++I) {
+    const std::vector<int64_t> &D = I % 5 == 4 ? NoDict : Dict;
+    if (I % 4 == 3)
+      M.splice(Data, Donor, D);
+    else
+      M.havoc(Data, D);
+    const uint64_t Len = Data.size();
+    H = fnv1a(&Len, sizeof(Len), H);
+    H = fnv1a(Data.data(), Data.size(), H);
+  }
+  uint64_t S[4];
+  R.saveState(S);
+  EXPECT_EQ(H, 0x0a0131330930b7daULL);
+  EXPECT_EQ(S[0], 0x9f54e554f7210ee4ULL);
+  EXPECT_EQ(S[1], 0xf4168e7a2420fe07ULL);
+  EXPECT_EQ(S[2], 0x99f15258b77b347cULL);
+  EXPECT_EQ(S[3], 0xd6c069bab8e9f577ULL);
 }
 
 QueueEntry entry(uint64_t Steps, std::vector<uint32_t> MapSet,

@@ -42,6 +42,55 @@ TEST(Rng, BelowStaysInRange) {
   }
 }
 
+/// below() as it was before its one-division fast path: rejection on
+/// the low 2^64 mod Bound values, kept verbatim as the reference. Counts
+/// the draws it rejected.
+uint64_t belowReference(Rng &R, uint64_t Bound, uint64_t &Rejected) {
+  uint64_t Threshold = -Bound % Bound;
+  for (;;) {
+    uint64_t X = R.next();
+    if (X >= Threshold)
+      return X % Bound;
+    ++Rejected;
+  }
+}
+
+/// below() returns the reference's values and leaves the stream at the
+/// same position, on small, power-of-two and huge bounds; bounds above
+/// 2^63 reject about half their draws, so the slow path runs too.
+TEST(Rng, BelowMatchesRejectionReference) {
+  const uint64_t Bounds[] = {1,
+                             2,
+                             3,
+                             14,
+                             100,
+                             256,
+                             512,
+                             uint64_t(1) << 32,
+                             (uint64_t(1) << 32) + 1,
+                             uint64_t(1) << 63,
+                             (uint64_t(1) << 63) + 1,
+                             UINT64_MAX};
+  uint64_t HighRejected = 0;
+  for (uint64_t Seed : {1ULL, 7ULL, 0xdeadbeefULL}) {
+    for (uint64_t Bound : Bounds) {
+      Rng Fast(Seed), Ref(Seed);
+      uint64_t Rejected = 0;
+      for (int I = 0; I < 4000; ++I)
+        ASSERT_EQ(Fast.below(Bound), belowReference(Ref, Bound, Rejected))
+            << "seed " << Seed << " bound " << Bound << " draw " << I;
+      uint64_t SF[4], SR[4];
+      Fast.saveState(SF);
+      Ref.saveState(SR);
+      for (int W = 0; W < 4; ++W)
+        EXPECT_EQ(SF[W], SR[W]) << "seed " << Seed << " bound " << Bound;
+      if (Bound > (uint64_t(1) << 63))
+        HighRejected += Rejected;
+    }
+  }
+  EXPECT_GT(HighRejected, 0u);
+}
+
 TEST(Rng, RangeInclusive) {
   Rng R(9);
   bool SawLo = false, SawHi = false;

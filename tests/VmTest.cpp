@@ -7,8 +7,14 @@
 #include "vm/Vm.h"
 
 #include "lang/Compile.h"
+#include "vm/Image.h"
+#include "vm/jit/Jit.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <memory>
+#include <string>
 
 using namespace pathfuzz;
 using namespace pathfuzz::vm;
@@ -236,30 +242,179 @@ fn main() {
   EXPECT_TRUE(Saw1234);
 }
 
-TEST(Vm, ShadowEdgesRecordedAndSorted) {
+/// Both engines where the JIT runs, else the interpreter alone: a fresh
+/// Vm over M (with the shadow index, when given) per call.
+struct Engines {
+  const mir::Module &M;
+  const instr::ShadowEdgeIndex *Shadow;
+  ProgramImage Image;
+  std::unique_ptr<jit::JitProgram> J;
+
+  Engines(const mir::Module &M, const instr::ShadowEdgeIndex *Shadow)
+      : M(M), Shadow(Shadow), Image(ProgramImage::build(M, Shadow)),
+        J(jit::available() ? jit::JitProgram::compile(Image) : nullptr) {}
+
+  std::vector<const char *> names() const {
+    if (J)
+      return {"interp", "jit"};
+    return {"interp"};
+  }
+  std::unique_ptr<Vm> make(const char *Name) const {
+    auto V = std::make_unique<Vm>(M, Shadow);
+    if (std::string(Name) == "jit")
+      V->attachJit(J.get());
+    return V;
+  }
+};
+
+/// Every field of two results, the whole fault stack included.
+void expectIdentical(const ExecResult &A, const ExecResult &B,
+                     const std::string &What) {
+  EXPECT_EQ(A.TheFault.Kind, B.TheFault.Kind) << What;
+  EXPECT_EQ(A.TheFault.Func, B.TheFault.Func) << What;
+  EXPECT_EQ(A.TheFault.Block, B.TheFault.Block) << What;
+  EXPECT_EQ(A.TheFault.InstrIdx, B.TheFault.InstrIdx) << What;
+  ASSERT_EQ(A.TheFault.Stack.size(), B.TheFault.Stack.size()) << What;
+  for (size_t I = 0; I < A.TheFault.Stack.size(); ++I) {
+    EXPECT_EQ(A.TheFault.Stack[I].Func, B.TheFault.Stack[I].Func) << What;
+    EXPECT_EQ(A.TheFault.Stack[I].Block, B.TheFault.Stack[I].Block) << What;
+    EXPECT_EQ(A.TheFault.Stack[I].InstrIdx, B.TheFault.Stack[I].InstrIdx)
+        << What;
+  }
+  EXPECT_EQ(A.Steps, B.Steps) << What;
+  EXPECT_EQ(A.ReturnValue, B.ReturnValue) << What;
+  EXPECT_EQ(A.ShadowEdges, B.ShadowEdges) << What;
+  EXPECT_EQ(A.CmpOperands, B.CmpOperands) << What;
+  EXPECT_EQ(A.HeapAllocs, B.HeapAllocs) << What;
+  EXPECT_EQ(A.HeapCellsAllocated, B.HeapCellsAllocated) << What;
+  EXPECT_EQ(A.DirtyGlobalCells, B.DirtyGlobalCells) << What;
+}
+
+/// 'x' allocates and compares its way down four calls of deep() to an
+/// out-of-bounds global read (a five-frame fault stack); any other input
+/// returns cleanly.
+const char *ReuseProgram = R"ml(
+global g[4];
+fn deep(k, p) {
+  if (k > 2) { return g[k + 10]; }
+  var q = alloc(k + 3);
+  return deep(k + 1, q);
+}
+fn main() {
+  if (len() > 0 && in(0) == 'x') { return deep(0, alloc(2)); }
+  if (len() > 1 && in(1) == 77) { return 5; }
+  g[1] = len();
+  return 1;
+}
+)ml";
+
+/// The Vm reuses one result: a clean execution after a crashing one
+/// (fault stack, cmp log, heap counts, edges all populated) must equal a
+/// fresh Vm's result for it — nothing carries over.
+TEST(Vm, ReusedResultCarriesNothingOver) {
+  mir::Module M = compile(ReuseProgram);
+  instr::ShadowEdgeIndex Shadow = instr::ShadowEdgeIndex::build(M);
+  Engines E(M, &Shadow);
+  const std::vector<uint8_t> Crash = {'x'}, Clean = {'a', 'b'};
+  ExecOptions Logged;
+  Logged.LogCmps = true;
+  ExecOptions Plain;
+  for (const char *Name : E.names()) {
+    std::unique_ptr<Vm> Used = E.make(Name);
+    const ExecResult &First =
+        Used->run(Crash.data(), Crash.size(), Logged, nullptr);
+    ASSERT_EQ(First.TheFault.Kind, FaultKind::OobRead) << Name;
+    ASSERT_GE(First.TheFault.Stack.size(), 4u) << Name;
+    ASSERT_FALSE(First.CmpOperands.empty()) << Name;
+    ASSERT_GT(First.HeapAllocs, 0u) << Name;
+
+    const ExecResult &Second =
+        Used->run(Clean.data(), Clean.size(), Plain, nullptr);
+    EXPECT_EQ(&Second, &First) << Name << ": the Vm owns one result";
+    std::unique_ptr<Vm> Fresh = E.make(Name);
+    const ExecResult &Expected =
+        Fresh->run(Clean.data(), Clean.size(), Plain, nullptr);
+    EXPECT_EQ(Second.TheFault.Kind, FaultKind::None) << Name;
+    EXPECT_TRUE(Second.TheFault.Stack.empty()) << Name;
+    EXPECT_TRUE(Second.CmpOperands.empty()) << Name;
+    expectIdentical(Second, Expected, Name);
+  }
+}
+
+/// A copy of a result is the caller's: the next run on the same Vm does
+/// not reach it.
+TEST(Vm, CopiedResultOutlivesNextRun) {
+  mir::Module M = compile(ReuseProgram);
+  instr::ShadowEdgeIndex Shadow = instr::ShadowEdgeIndex::build(M);
+  Engines E(M, &Shadow);
+  const std::vector<uint8_t> Crash = {'x'}, Clean = {'a', 'b'};
+  ExecOptions Logged;
+  Logged.LogCmps = true;
+  for (const char *Name : E.names()) {
+    std::unique_ptr<Vm> Used = E.make(Name);
+    ExecResult Copy = Used->run(Crash.data(), Crash.size(), Logged, nullptr);
+    (void)Used->run(Clean.data(), Clean.size(), ExecOptions(), nullptr);
+    std::unique_ptr<Vm> Fresh = E.make(Name);
+    expectIdentical(Copy,
+                    Fresh->run(Crash.data(), Crash.size(), Logged, nullptr),
+                    Name);
+  }
+}
+
+/// Shadow edges are listed once each, in the order the execution first
+/// took them: the list of a run cut short by the step limit is a prefix
+/// of the full run's list, and two inputs that take the same edges in a
+/// different order list the same set in different orders.
+TEST(Vm, ShadowEdgesOnceInFirstTraversalOrder) {
   mir::Module M = compile(R"ml(
 fn main() {
   var i = 0;
   var s = 0;
-  while (i < len()) { s = s + in(i); i = i + 1; }
+  while (i < len()) {
+    if (in(i) == 'a') { s = s + 1; } else { s = s * 2; }
+    i = i + 1;
+  }
   return s;
 }
 )ml");
   instr::ShadowEdgeIndex Shadow = instr::ShadowEdgeIndex::build(M);
-  Vm Machine(M, &Shadow);
-  ExecOptions EO;
-  std::vector<uint8_t> In = {1, 2};
-  ExecResult R = Machine.run(In.data(), In.size(), EO, nullptr);
-  ASSERT_FALSE(R.ShadowEdges.empty());
-  for (size_t I = 1; I < R.ShadowEdges.size(); ++I)
-    EXPECT_LT(R.ShadowEdges[I - 1], R.ShadowEdges[I]);
-  for (uint32_t Id : R.ShadowEdges)
-    EXPECT_LT(Id, Shadow.numEdges());
+  Engines E(M, &Shadow);
+  const std::vector<uint8_t> AB = {'a', 'b'}, BA = {'b', 'a'};
+  for (const char *Name : E.names()) {
+    std::unique_ptr<Vm> Machine = E.make(Name);
+    ExecOptions EO;
+    const ExecResult Full = Machine->run(AB.data(), AB.size(), EO, nullptr);
+    ASSERT_FALSE(Full.ShadowEdges.empty()) << Name;
+    std::vector<uint32_t> Sorted = Full.ShadowEdges;
+    std::sort(Sorted.begin(), Sorted.end());
+    EXPECT_EQ(std::adjacent_find(Sorted.begin(), Sorted.end()), Sorted.end())
+        << Name << ": an edge is listed twice";
+    for (uint32_t Id : Sorted)
+      EXPECT_LT(Id, Shadow.numEdges()) << Name;
 
-  // A longer input takes the loop more times but adds no new edges.
-  std::vector<uint8_t> In2 = {1, 2, 3, 4};
-  ExecResult R2 = Machine.run(In2.data(), In2.size(), EO, nullptr);
-  EXPECT_EQ(R.ShadowEdges, R2.ShadowEdges);
+    for (uint64_t Limit = 1; Limit <= Full.Steps; ++Limit) {
+      EO.StepLimit = Limit;
+      const ExecResult &Cut = Machine->run(AB.data(), AB.size(), EO, nullptr);
+      ASSERT_LE(Cut.ShadowEdges.size(), Full.ShadowEdges.size()) << Name;
+      EXPECT_TRUE(std::equal(Cut.ShadowEdges.begin(), Cut.ShadowEdges.end(),
+                             Full.ShadowEdges.begin()))
+          << Name << " step limit " << Limit;
+    }
+
+    EO.StepLimit = ExecOptions().StepLimit;
+    const ExecResult Swapped = Machine->run(BA.data(), BA.size(), EO, nullptr);
+    std::vector<uint32_t> SwappedSorted = Swapped.ShadowEdges;
+    std::sort(SwappedSorted.begin(), SwappedSorted.end());
+    EXPECT_EQ(SwappedSorted, Sorted) << Name;
+    EXPECT_NE(Swapped.ShadowEdges, Full.ShadowEdges) << Name;
+
+    // A longer input takes the loop more times but adds no new edges.
+    const std::vector<uint8_t> Longer = {'a', 'b', 'a', 'b'};
+    EXPECT_EQ(Machine->run(Longer.data(), Longer.size(), EO, nullptr)
+                  .ShadowEdges,
+              Full.ShadowEdges)
+        << Name;
+  }
 }
 
 } // namespace
